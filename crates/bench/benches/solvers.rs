@@ -7,8 +7,9 @@ use std::hint::black_box;
 use rcs_bench::Harness;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{layout, SolverEngine};
+use rcs_hydraulics::{layout, SolveOptions, SolverEngine};
 use rcs_numeric::Matrix;
+use rcs_obs::Registry;
 use rcs_thermal::ThermalNetwork;
 use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
 
@@ -110,7 +111,12 @@ fn bench_sparse_vs_dense_manifold(h: &mut Harness) {
             h.bench(&format!("hydraulic_manifold_{tag}/{loops}"), || {
                 // cold every time: isolate the per-solve elimination cost
                 ctx.clear_seed();
-                black_box(plan.network.solve_in(black_box(&water), &mut ctx).unwrap())
+                let opts = SolveOptions::default();
+                let solution = plan
+                    .network
+                    .solve_with(black_box(&water), &opts, &mut ctx, Registry::disabled())
+                    .unwrap();
+                black_box(solution)
             });
         }
     }
@@ -137,7 +143,7 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
             || {
                 let mut net = plan.network.clone();
                 black_box(
-                    net.solve_sweep(openings.len(), warm, |net, i| {
+                    net.solve_sweep(openings.len(), warm, Registry::disabled(), |net, i| {
                         net.set_valve_opening(valve, openings[i]).unwrap();
                         water
                     })

@@ -139,7 +139,9 @@ pub fn run(obs: &Registry) -> Vec<Table> {
 
 /// Runs the matrix at an explicit thread count (the determinism suite
 /// compares 1/2/4 directly). Returns the per-cell outcome table and the
-/// degraded-provenance table.
+/// degraded-provenance table. Each matrix cell runs inside a
+/// `<load>.<scenario>` span whose three `query.batch` children carry the
+/// per-request `req.<hash>` spans.
 ///
 /// # Panics
 ///
@@ -147,29 +149,6 @@ pub fn run(obs: &Registry) -> Vec<Table> {
 /// invariant of the drill, not a statistic.
 #[must_use]
 pub fn run_with_threads(threads: usize, obs: &Registry) -> Vec<Table> {
-    run_with_threads_spanned(threads, obs, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run`] plus span attribution at the ambient thread count.
-#[must_use]
-pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table> {
-    run_with_threads_spanned(rcs_parallel::thread_count(), obs, spans)
-}
-
-/// [`run_with_threads`] plus span attribution: each matrix cell runs
-/// inside a `<load>.<scenario>` span whose three `query.batch` children
-/// carry the per-request `req.<hash>` spans. Telemetry on `obs` is
-/// byte-identical to [`run_with_threads`].
-///
-/// # Panics
-///
-/// Same contract as [`run_with_threads`].
-#[must_use]
-pub fn run_with_threads_spanned(
-    threads: usize,
-    obs: &Registry,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
     let queries = batch();
     let mut cell_rows = Vec::new();
     let mut provenance_rows = Vec::new();
@@ -179,12 +158,11 @@ pub fn run_with_threads_spanned(
             let injector = ChaosInjector::new(config);
             let mut engine = QueryEngine::new(capacity).with_policy(policy);
 
-            spans.enter(&format!("{load_name}.{scenario_name}"), obs);
+            obs.enter(&format!("{load_name}.{scenario_name}"));
             let before = obs.snapshot();
             let (mut ok_n, mut degraded_n, mut failed_n) = (0u64, 0u64, 0u64);
             for round in 1..=ROUNDS {
-                let outcomes =
-                    engine.run_batch_with_spanned(&queries, threads, obs, &injector, spans);
+                let outcomes = engine.run_batch_with(&queries, threads, obs, &injector);
                 assert_eq!(
                     outcomes.len(),
                     queries.len(),
@@ -236,7 +214,7 @@ pub fn run_with_threads_spanned(
                 delta("resilience.budget.exhausted"),
                 delta("query.cache.evictions"),
             ]);
-            spans.exit(obs);
+            obs.exit();
         }
     }
 

@@ -162,6 +162,12 @@ pub fn monte_carlo_with_threads(
 ///   `mean_hardware_losses`);
 /// - plus the `parallel.*` map counters from the pool.
 ///
+/// When `obs` carries a trace, every trial pushes its availability into
+/// the `mc.availability` channel with the global trial index as the
+/// time axis; per-chunk shard recorders are merged in chunk order, so
+/// the retained (deterministically decimated) series is bit-identical
+/// at every `threads` value.
+///
 /// # Panics
 ///
 /// Panics if `horizon_years` is not positive or `trials` is zero.
@@ -174,39 +180,8 @@ pub fn monte_carlo_observed(
     threads: usize,
     obs: &Registry,
 ) -> AvailabilityReport {
-    monte_carlo_traced(
-        classes,
-        horizon_years,
-        trials,
-        seed,
-        threads,
-        obs,
-        rcs_obs::trace::TraceRecorder::disabled(),
-    )
-}
-
-/// [`monte_carlo_observed`] plus trace recording: every trial pushes its
-/// availability into the `mc.availability` channel of `trace` with the
-/// global trial index as the time axis. Per-chunk shard recorders are
-/// merged in chunk order, so the retained (deterministically decimated)
-/// series is bit-identical at every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_traced(
-    classes: &[FailureClass],
-    horizon_years: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> AvailabilityReport {
     let mut session = McSession::new(horizon_years, trials, seed, threads, obs);
-    while session.advance(classes, obs, trace, u64::MAX) > 0 {}
+    while session.advance(classes, obs, u64::MAX) > 0 {}
     session.finish()
 }
 
@@ -283,13 +258,7 @@ impl McSession {
     /// batch, reducing shard telemetry and results in chunk order.
     /// Returns how many chunks ran (0 when the study is complete).
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    pub fn advance(
-        &mut self,
-        classes: &[FailureClass],
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        max_chunks: u64,
-    ) -> u64 {
+    pub fn advance(&mut self, classes: &[FailureClass], obs: &Registry, max_chunks: u64) -> u64 {
         let mut indices = Vec::new();
         while (indices.len() as u64) < max_chunks {
             let Some(tick) = self.clock.tick() else { break };
@@ -314,15 +283,20 @@ impl McSession {
 
         let horizon_years = self.horizon_years;
         let hours_total = horizon_years * HOURS_PER_YEAR;
-        let partials = rcs_parallel::par_map_shards(
+        let options = rcs_parallel::MapOptions {
+            // unprefixed: every chunk appends to the shared channels,
+            // merged in chunk order
+            label: &|_| String::new(),
+            item_spans: false,
+            // counted once in `new`, however the chunks are batched
+            count_shape: false,
+        };
+        let partials = rcs_parallel::par_map_observed(
             batch,
             self.threads,
             obs,
-            trace,
-            // unprefixed: every chunk appends to the shared channels,
-            // merged in chunk order
-            |_| String::new(),
-            |_, (range, mut rng), shard, shard_trace| {
+            options,
+            |_, (range, mut rng), shard| {
                 let outcome = run_chunk(classes, horizon_years, hours_total, range.len(), &mut rng);
                 shard.add("mc.events", outcome.events);
                 shard.add("mc.hardware_losses", outcome.losses);
@@ -330,11 +304,11 @@ impl McSession {
                 // per sampled Poisson event (the inner-loop cost driver)
                 shard.work("mc.trials", range.len() as u64);
                 shard.work("mc.events", outcome.events);
-                if shard_trace.is_enabled() {
-                    let ch =
-                        shard_trace.channel("mc.availability", rcs_obs::trace::ChannelKind::Scalar);
+                let trace = shard.trace();
+                if trace.is_enabled() {
+                    let ch = trace.channel("mc.availability", rcs_obs::trace::ChannelKind::Scalar);
                     for (offset, availability) in outcome.availabilities.iter().enumerate() {
-                        shard_trace.record(ch, (range.start + offset) as f64, *availability);
+                        trace.record(ch, (range.start + offset) as f64, *availability);
                     }
                 }
                 outcome
@@ -346,6 +320,7 @@ impl McSession {
         // pinned.
         let ran = partials.len() as u64;
         for partial in partials {
+            let partial = partial.unwrap_or_else(|panic| panic!("Monte-Carlo chunk {panic}"));
             self.availabilities.extend(partial.availabilities);
             self.total_events += partial.events;
             self.total_losses += partial.losses;
@@ -398,23 +373,10 @@ impl McSession {
     }
 
     /// Seals the study state — parameters, chunk clock, accumulated
-    /// trials and tallies — plus the contents of `obs` and `trace` into
-    /// versioned snapshot bytes.
+    /// trials and tallies — plus the contents of `obs` (trace and span
+    /// sink included, open spans too) into versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`McSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing this
-    /// study survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, obs: &Registry) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.f64(self.horizon_years);
         w.u64(self.trials as u64);
@@ -424,47 +386,20 @@ impl McSession {
         w.f64_slice(&self.availabilities);
         w.u64(self.total_events);
         w.u64(self.total_losses);
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(obs).write_into(&mut w);
         rcs_kernel::seal(MC_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`McSession::checkpoint`] bytes,
-    /// restoring the captured telemetry into the (fresh) `obs` and
-    /// `trace` sinks. The thread count is *not* restored — pass the
-    /// current one; the study is bit-identical at any value.
+    /// restoring the captured telemetry into the (fresh) `obs`. The
+    /// thread count is *not* restored — pass the current one; the study
+    /// is bit-identical at any value.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] on corrupted or truncated bytes or a snapshot
     /// of a different kind.
-    pub fn resume(
-        bytes: &[u8],
-        threads: usize,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(
-            bytes,
-            threads,
-            obs,
-            trace,
-            rcs_obs::span::SpanSink::disabled(),
-        )
-    }
-
-    /// [`McSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`McSession::resume`].
-    pub fn resume_spanned(
-        bytes: &[u8],
-        threads: usize,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Result<Self, SnapshotError> {
+    pub fn resume(bytes: &[u8], threads: usize, obs: &Registry) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(MC_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
         let horizon_years = r.f64()?;
@@ -489,7 +424,7 @@ impl McSession {
                 "invalid study parameters: {trials} trials over {horizon_years} years"
             )));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        sinks.restore(obs)?;
         Ok(Self {
             horizon_years,
             trials,
@@ -624,16 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_entry_point_is_bit_identical_to_observed() {
-        let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
-            ColdPlateLoop::per_chip_plates(96),
-        ));
-        let plain = monte_carlo_with_threads(&classes, 5.0, 300, 9, 2);
-        let observed = monte_carlo_observed(&classes, 5.0, 300, 9, 2, &Registry::new());
-        assert_eq!(plain, observed);
-    }
-
-    #[test]
     fn p05_is_no_better_than_the_mean() {
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
@@ -645,29 +570,26 @@ mod tests {
     #[test]
     fn mc_session_checkpoint_resume_is_bitwise_identical() {
         use rcs_obs::trace::TraceRecorder;
+        let traced = || Registry::new().with_trace(TraceRecorder::new());
 
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
         // 700 trials = 11 chunks (10 full + one 60-trial tail).
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
-        let reference = monte_carlo_traced(&classes, 5.0, 700, 42, 4, &obs_ref, &trace_ref);
+        let obs_ref = traced();
+        let reference = monte_carlo_observed(&classes, 5.0, 700, 42, 4, &obs_ref);
 
         for split in [0u64, 1, 5, 10, 11] {
-            let obs_a = Registry::new();
-            let trace_a = TraceRecorder::new();
+            let obs_a = traced();
             let mut session = McSession::new(5.0, 700, 42, 2, &obs_a);
-            session.advance(&classes, &obs_a, &trace_a, split);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            session.advance(&classes, &obs_a, split);
+            let bytes = session.checkpoint(&obs_a);
 
             // Resume on a *different* worker count: the chunk → stream
             // mapping is thread-free, so the split must stay invisible.
-            let obs_b = Registry::new();
-            let trace_b = TraceRecorder::new();
-            let mut resumed =
-                McSession::resume(&bytes, 7, &obs_b, &trace_b).expect("snapshot opens");
-            while resumed.advance(&classes, &obs_b, &trace_b, 3) > 0 {}
+            let obs_b = traced();
+            let mut resumed = McSession::resume(&bytes, 7, &obs_b).expect("snapshot opens");
+            while resumed.advance(&classes, &obs_b, 3) > 0 {}
             assert!(resumed.is_finished());
             let report = resumed.finish();
 
@@ -678,8 +600,8 @@ mod tests {
                 "golden counters diverged at split {split}"
             );
             assert_eq!(
-                trace_b.snapshot(),
-                trace_ref.snapshot(),
+                obs_b.trace().snapshot(),
+                obs_ref.trace().snapshot(),
                 "traces diverged at split {split}"
             );
         }
@@ -687,30 +609,20 @@ mod tests {
 
     #[test]
     fn corrupt_mc_snapshot_is_a_structured_error() {
-        use rcs_obs::trace::TraceRecorder;
-
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
         let obs = Registry::new();
         let mut session = McSession::new(5.0, 200, 9, 2, &obs);
-        session.advance(&classes, &obs, TraceRecorder::disabled(), 2);
-        let bytes = session.checkpoint(&obs, TraceRecorder::disabled());
+        session.advance(&classes, &obs, 2);
+        let bytes = session.checkpoint(&obs);
 
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x01;
-        assert!(
-            McSession::resume(&flipped, 2, &Registry::new(), TraceRecorder::disabled()).is_err()
-        );
+        assert!(McSession::resume(&flipped, 2, &Registry::new()).is_err());
         for cut in [0, 7, bytes.len() - 3] {
             assert!(
-                McSession::resume(
-                    &bytes[..cut],
-                    2,
-                    &Registry::new(),
-                    TraceRecorder::disabled()
-                )
-                .is_err(),
+                McSession::resume(&bytes[..cut], 2, &Registry::new()).is_err(),
                 "truncated at {cut}"
             );
         }

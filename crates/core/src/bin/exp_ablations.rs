@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e13_ablations};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e13_ablations::run();
     experiments::finish_run("e13_ablations", None, &tables, &obs);
 }

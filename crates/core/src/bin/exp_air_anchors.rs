@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e01_air_anchors};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e01_air_anchors::run();
     experiments::finish_run("e01_air_anchors", None, &tables, &obs);
 }

@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, f01_design_figures};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = f01_design_figures::run();
     experiments::finish_run("f01_design_figures", None, &tables, &obs);
 }

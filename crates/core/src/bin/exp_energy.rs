@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e14_energy};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e14_energy::run();
     experiments::finish_run("e14_energy", None, &tables, &obs);
 }

@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e03_family_scaling};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e03_family_scaling::run();
     experiments::finish_run("e03_family_scaling", None, &tables, &obs);
 }

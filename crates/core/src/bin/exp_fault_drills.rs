@@ -5,21 +5,15 @@
 //! and the per-cell golden span tree when `RCS_OBS_SPANS` names one.
 
 use rcs_core::experiments::{self, e17_fault_drills};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
-    let trace = TraceRecorder::from_env();
-    let spans = SpanSink::from_env();
-    let tables = e17_fault_drills::run_spanned(&obs, &trace, &spans);
-    experiments::finish_run_spanned(
+    let obs = Registry::from_env();
+    let tables = e17_fault_drills::run_observed(&obs);
+    experiments::finish_run(
         "e17_fault_drills",
         Some(e17_fault_drills::SEED),
         &tables,
         &obs,
-        &trace,
-        &spans,
     );
 }

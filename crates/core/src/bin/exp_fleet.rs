@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e16_fleet};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e16_fleet::run();
     experiments::finish_run("e16_fleet", Some(e16_fleet::SEED), &tables, &obs);
 }

@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e06_generation_gains};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e06_generation_gains::run();
     experiments::finish_run("e06_generation_gains", None, &tables, &obs);
 }

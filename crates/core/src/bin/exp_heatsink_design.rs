@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e11_heatsink_design};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e11_heatsink_design::run();
     experiments::finish_run("e11_heatsink_design", None, &tables, &obs);
 }

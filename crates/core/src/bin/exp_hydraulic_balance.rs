@@ -1,15 +1,14 @@
 //! Prints the E8/F5 hydraulic-balancing experiment tables (see
 //! DESIGN.md) and emits an NDJSON run manifest (`RCS_OBS_MANIFEST`
 //! file, else stderr) carrying the manifold-solve telemetry, plus the
-//! per-loop flow trace when `RCS_OBS_TRACE` names a file.
+//! per-loop flow trace when `RCS_OBS_TRACE` names a file and the span
+//! tree when `RCS_OBS_SPANS` names a file.
 
 use rcs_core::experiments::{self, e08_hydraulic_balance};
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
-    let trace = TraceRecorder::from_env();
-    let tables = e08_hydraulic_balance::run_traced(&obs, &trace);
-    experiments::finish_run_traced("e08_hydraulic_balance", None, &tables, &obs, &trace);
+    let obs = Registry::from_env();
+    let tables = e08_hydraulic_balance::run_observed(&obs);
+    experiments::finish_run("e08_hydraulic_balance", None, &tables, &obs);
 }

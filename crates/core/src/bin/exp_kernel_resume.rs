@@ -23,8 +23,6 @@ use rcs_cooling::{risk, CoolingArchitecture, ImmersionBath};
 use rcs_core::experiments::{self, Table};
 use rcs_core::{DrillSession, FaultDrill, ImmersionModel, WarmupSession};
 use rcs_numeric::rng::Rng;
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 use rcs_thermal::{ThermalNetwork, TransientSession};
 use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
@@ -32,28 +30,14 @@ use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
 /// Seed for the drill RNG and the Monte-Carlo study.
 const SEED: u64 = 20260808;
 
-/// The sinks of the run. In split mode each loop's checkpoint swaps
-/// them wholesale for fresh ones — restoring must then reproduce
-/// everything recorded so far, by *any* loop (including the open span
-/// stack), or the final manifest diff fails.
-struct Sinks {
-    obs: Registry,
-    trace: TraceRecorder,
-    spans: SpanSink,
-}
-
-impl Sinks {
-    fn fresh() -> Self {
-        Self {
-            obs: Registry::new(),
-            trace: TraceRecorder::from_env(),
-            spans: SpanSink::from_env(),
-        }
-    }
-}
-
-fn run(split: bool) -> (Vec<Table>, Sinks) {
-    let mut sinks = Sinks::fresh();
+/// Runs the four loops against one telemetry context, built by
+/// [`Registry::from_env`] with the sinks the export variables ask for.
+/// In split mode each loop's checkpoint swaps it wholesale for a fresh
+/// one — restoring must then reproduce everything recorded so far, by
+/// *any* loop (including the open span stack), or the final manifest
+/// diff fails.
+fn run(split: bool) -> (Vec<Table>, Registry) {
+    let mut obs = Registry::from_env();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
     // --- 1. thermal transient: a two-node RC chain ------------------
@@ -71,18 +55,16 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
     let mut session =
         TransientSession::new(&net, &initial, Seconds::new(120.0), Seconds::new(0.25))
             .expect("valid transient problem");
-    sinks.spans.enter("thermal.transient", &sinks.obs);
+    obs.enter("thermal.transient");
     if split {
         session.run(&net, 240);
-        let bytes = session.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        session =
-            TransientSession::resume_spanned(&net, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("transient snapshot reopens");
+        let bytes = session.checkpoint(&obs);
+        obs = Registry::from_env();
+        session = TransientSession::resume(&net, &bytes, &obs).expect("transient snapshot reopens");
     }
     session.run(&net, u64::MAX);
-    let transient = session.finish_observed(&net, &sinks.obs);
-    sinks.spans.exit(&sinks.obs);
+    let transient = session.finish_observed(&net, &obs);
+    obs.exit();
     rows.push(vec![
         "transient chip °C".to_owned(),
         format!("{:.6}", transient.final_temperature(chip).degrees()),
@@ -90,25 +72,18 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
 
     // --- 2. SKAT immersion warm-up ----------------------------------
     let model = ImmersionModel::skat();
-    let mut warmup = WarmupSession::new(
-        &model,
-        Seconds::minutes(10.0),
-        Seconds::new(2.0),
-        &sinks.obs,
-    )
-    .expect("SKAT warms up");
-    sinks.spans.enter("immersion.warmup", &sinks.obs);
+    let mut warmup = WarmupSession::new(&model, Seconds::minutes(10.0), Seconds::new(2.0), &obs)
+        .expect("SKAT warms up");
+    obs.enter("immersion.warmup");
     if split {
         warmup.run(150);
-        let bytes = warmup.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        warmup =
-            WarmupSession::resume_spanned(&model, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("warmup snapshot reopens");
+        let bytes = warmup.checkpoint(&obs);
+        obs = Registry::from_env();
+        warmup = WarmupSession::resume(&model, &bytes, &obs).expect("warmup snapshot reopens");
     }
     warmup.run(u64::MAX);
-    let warm = warmup.finish(&sinks.obs, &sinks.trace);
-    sinks.spans.exit(&sinks.obs);
+    let warm = warmup.finish(&obs);
+    obs.exit();
     rows.push(vec![
         "warmup chip °C".to_owned(),
         format!("{:.6}", warm.final_chip_temperature().degrees()),
@@ -118,29 +93,20 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
     let timeline =
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
     let drill = FaultDrill::skat("kernel_resume", timeline, Seconds::minutes(20.0));
-    sinks.spans.enter("drill.session", &sinks.obs);
-    let mut drill_session = DrillSession::new_spanned(
-        &drill,
-        Rng::seed_from_u64(SEED),
-        true,
-        &sinks.obs,
-        &sinks.trace,
-        &sinks.spans,
-    )
-    .expect("baseline solves");
+    obs.enter("drill.session");
+    let mut drill_session =
+        DrillSession::new(&drill, Rng::seed_from_u64(SEED), true, &obs).expect("baseline solves");
     if split {
         // Scan 90 is one minute after the seizure: filters, alarm votes
         // and the partial outcome are all live in the snapshot.
-        drill_session.run(&drill, &sinks.obs, &sinks.trace, 90);
-        let bytes = drill_session.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        drill_session =
-            DrillSession::resume_spanned(&drill, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("drill snapshot reopens");
+        drill_session.run(&drill, &obs, 90);
+        let bytes = drill_session.checkpoint(&obs);
+        obs = Registry::from_env();
+        drill_session = DrillSession::resume(&drill, &bytes, &obs).expect("drill snapshot reopens");
     }
-    drill_session.run(&drill, &sinks.obs, &sinks.trace, u64::MAX);
-    let (outcome, _rng) = drill_session.finish(&sinks.obs);
-    sinks.spans.exit(&sinks.obs);
+    drill_session.run(&drill, &obs, u64::MAX);
+    let (outcome, _rng) = drill_session.finish(&obs);
+    obs.exit();
     rows.push(vec![
         "drill peak junction °C".to_owned(),
         format!("{:.6}", outcome.peak_junction.degrees()),
@@ -155,18 +121,17 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
         ImmersionBath::skat_default(),
     ));
     let threads = rcs_parallel::thread_count();
-    let mut mc = McSession::new(3.0, 512, SEED, threads, &sinks.obs);
-    sinks.spans.enter("mc.availability", &sinks.obs);
+    let mut mc = McSession::new(3.0, 512, SEED, threads, &obs);
+    obs.enter("mc.availability");
     if split {
-        mc.advance(&classes, &sinks.obs, &sinks.trace, 4);
-        let bytes = mc.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        mc = McSession::resume_spanned(&bytes, threads, &sinks.obs, &sinks.trace, &sinks.spans)
-            .expect("mc snapshot reopens");
+        mc.advance(&classes, &obs, 4);
+        let bytes = mc.checkpoint(&obs);
+        obs = Registry::from_env();
+        mc = McSession::resume(&bytes, threads, &obs).expect("mc snapshot reopens");
     }
-    while mc.advance(&classes, &sinks.obs, &sinks.trace, u64::MAX) > 0 {}
+    while mc.advance(&classes, &obs, u64::MAX) > 0 {}
     let report = mc.finish();
-    sinks.spans.exit(&sinks.obs);
+    obs.exit();
     rows.push(vec![
         "mc mean availability".to_owned(),
         format!("{:.9}", report.mean_availability),
@@ -179,18 +144,11 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
     // The title deliberately ignores the mode: straight and split runs
     // must be byte-identical on stdout too.
     let table = Table::new("Kernel resume harness", &["quantity", "value"], rows);
-    (vec![table], sinks)
+    (vec![table], obs)
 }
 
 fn main() {
     let split = std::env::args().any(|a| a == "--split");
-    let (tables, sinks) = run(split);
-    experiments::finish_run_spanned(
-        "kernel_resume",
-        Some(SEED),
-        &tables,
-        &sinks.obs,
-        &sinks.trace,
-        &sinks.spans,
-    );
+    let (tables, obs) = run(split);
+    experiments::finish_run("kernel_resume", Some(SEED), &tables, &obs);
 }

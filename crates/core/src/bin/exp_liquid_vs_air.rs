@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e04_liquid_vs_air};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e04_liquid_vs_air::run();
     experiments::finish_run("e04_liquid_vs_air", None, &tables, &obs);
 }

@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e15_maintenance};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e15_maintenance::run();
     experiments::finish_run("e15_maintenance", None, &tables, &obs);
 }

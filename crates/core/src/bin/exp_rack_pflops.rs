@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e07_rack_pflops};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e07_rack_pflops::run();
     experiments::finish_run("e07_rack_pflops", None, &tables, &obs);
 }

@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e09_skat_plus};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e09_skat_plus::run();
     experiments::finish_run("e09_skat_plus", None, &tables, &obs);
 }

@@ -5,14 +5,10 @@
 //! span tree when `RCS_OBS_SPANS` names a file.
 
 use rcs_core::experiments::{self, e05_skat_thermal};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
-    let trace = TraceRecorder::from_env();
-    let spans = SpanSink::from_env();
-    let tables = e05_skat_thermal::run_spanned(&obs, &trace, &spans);
-    experiments::finish_run_spanned("e05_skat_thermal", None, &tables, &obs, &trace, &spans);
+    let obs = Registry::from_env();
+    let tables = e05_skat_thermal::run_observed(&obs);
+    experiments::finish_run("e05_skat_thermal", None, &tables, &obs);
 }

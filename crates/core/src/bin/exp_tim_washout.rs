@@ -5,7 +5,7 @@ use rcs_core::experiments::{self, e10_tim_washout};
 use rcs_obs::Registry;
 
 fn main() {
-    let obs = Registry::new();
+    let obs = Registry::from_env();
     let tables = e10_tim_washout::run();
     experiments::finish_run("e10_tim_washout", None, &tables, &obs);
 }

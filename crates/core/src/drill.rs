@@ -28,8 +28,6 @@ use rcs_cooling::ImmersionBath;
 use rcs_devices::OperatingPoint;
 use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
 use rcs_numeric::rng::Rng;
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 use rcs_platform::ComputeModule;
 use rcs_units::{Celsius, Power, Seconds, VolumeFlow};
@@ -345,24 +343,10 @@ impl FaultDrill {
         }
     }
 
-    /// Runs the drill under the hardened supervisor.
-    ///
-    /// The RNG drives only small per-scan sensor measurement noise, so
-    /// two runs with equal-state RNGs are bit-identical.
-    #[must_use]
-    pub fn run(&self, rng: &mut Rng) -> DrillOutcome {
-        self.simulate(
-            rng,
-            true,
-            Registry::disabled(),
-            rcs_obs::trace::TraceRecorder::disabled(),
-        )
-    }
-
-    /// [`FaultDrill::run`] with telemetry recorded into `obs` — all
-    /// golden-channel integers (the drill's RNG noise is part of the
-    /// seeded trajectory, so every counter is a pure function of the
-    /// RNG state):
+    /// Runs the drill under the hardened supervisor, recording its
+    /// telemetry into `obs` — all golden-channel integers (the drill's
+    /// RNG noise is part of the seeded trajectory, so every counter is
+    /// a pure function of the RNG state):
     ///
     /// - `drill.runs`, `drill.steps`, `drill.relinearizations`,
     ///   `drill.solver_failures` — engine shape;
@@ -374,14 +358,9 @@ impl FaultDrill {
     ///   activity;
     /// - plus the `immersion.*` / `hydraulics.*` counters of every
     ///   baseline solve and relinearization.
-    #[must_use]
-    pub fn run_observed(&self, rng: &mut Rng, obs: &Registry) -> DrillOutcome {
-        self.simulate(rng, true, obs, rcs_obs::trace::TraceRecorder::disabled())
-    }
-
-    /// [`FaultDrill::run_observed`] plus trace recording — the true
-    /// per-scan trajectory of the drill, pushed into bounded channels of
-    /// `trace` (long drills are decimated deterministically):
+    ///
+    /// On the trace of `obs` it records the true per-scan trajectory in
+    /// bounded channels (long drills are decimated deterministically):
     ///
     /// - `drill.t_chip` / `drill.t_bath` — true temperatures (°C);
     /// - `drill.flow_lpm` — linearized circulation flow (L/min);
@@ -391,31 +370,17 @@ impl FaultDrill {
     ///   (see [`Action::severity_rank`]);
     ///
     /// plus the `immersion.ladder.*` channels of the baseline solve and
-    /// every relinearization.
+    /// every relinearization. On its span sink the baseline solve's
+    /// `immersion.ladder` / `rung` spans land where the caller opened
+    /// them (typically a cell span around the whole drill); the
+    /// per-scan relinearizations record no spans of their own — their
+    /// work stays self work of the enclosing span.
+    ///
+    /// The RNG drives only small per-scan sensor measurement noise, so
+    /// two runs with equal-state RNGs are bit-identical.
     #[must_use]
-    pub fn run_traced(
-        &self,
-        rng: &mut Rng,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> DrillOutcome {
-        self.simulate(rng, true, obs, trace)
-    }
-
-    /// [`FaultDrill::run_traced`] plus span attribution: the baseline
-    /// solve's `immersion.ladder` / `rung` spans land on `spans`
-    /// (callers typically bracket the whole drill in a cell span).
-    /// Telemetry on `obs` and `trace` is byte-identical to the traced
-    /// variant.
-    #[must_use]
-    pub fn run_spanned(
-        &self,
-        rng: &mut Rng,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> DrillOutcome {
-        self.simulate_spanned(rng, true, obs, trace, spans)
+    pub fn run_observed(&self, rng: &mut Rng, obs: &Registry) -> DrillOutcome {
+        self.simulate(rng, true, obs)
     }
 
     /// Runs the same physics with the supervisor disconnected (no
@@ -423,49 +388,13 @@ impl FaultDrill {
     /// check that supervised shutdowns land before hardware violations.
     #[must_use]
     pub fn run_open_loop(&self, rng: &mut Rng) -> DrillOutcome {
-        self.simulate(
-            rng,
-            false,
-            Registry::disabled(),
-            rcs_obs::trace::TraceRecorder::disabled(),
-        )
+        self.simulate(rng, false, Registry::disabled())
     }
 
-    /// [`FaultDrill::run_open_loop`] with telemetry recorded into `obs`
-    /// (see [`FaultDrill::run_observed`] for the counters).
-    #[must_use]
-    pub fn run_open_loop_observed(&self, rng: &mut Rng, obs: &Registry) -> DrillOutcome {
-        self.simulate(rng, false, obs, rcs_obs::trace::TraceRecorder::disabled())
-    }
-
-    fn simulate(
-        &self,
-        rng: &mut Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> DrillOutcome {
-        self.simulate_spanned(rng, supervised, obs, trace, SpanSink::disabled())
-    }
-
-    fn simulate_spanned(
-        &self,
-        rng: &mut Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> DrillOutcome {
-        match DrillSession::new_spanned(
-            self,
-            Rng::from_state(rng.state()),
-            supervised,
-            obs,
-            trace,
-            spans,
-        ) {
+    fn simulate(&self, rng: &mut Rng, supervised: bool, obs: &Registry) -> DrillOutcome {
+        match DrillSession::new(self, Rng::from_state(rng.state()), supervised, obs) {
             Ok(mut session) => {
-                while session.step(self, obs, trace) {}
+                while session.step(self, obs) {}
                 let (outcome, final_rng) = session.finish(obs);
                 // Hand the advanced stream back so callers chaining
                 // drills off one RNG see the exact legacy sequence.
@@ -490,7 +419,6 @@ impl FaultDrill {
         r_chip_baseline: f64,
         chips: f64,
         obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
     ) -> Result<Linearization, CoreError> {
         let degraded_bath = state.apply_to(&self.bath);
         let curves = state.pump_curves(&self.bath);
@@ -515,7 +443,9 @@ impl FaultDrill {
         if state.valve_opening < 1.0 {
             model = model.with_circulation_valve(state.valve_opening);
         }
-        let steady = model.solve_robust_traced(obs, trace)?;
+        // Relinearizations are attributed to the drill as a whole: their
+        // ladder spans would repeat once per fault transition.
+        let steady = obs.without_spans(|| model.solve_robust_observed(obs))?;
 
         let bulk =
             Celsius::new(0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()));
@@ -637,9 +567,9 @@ fn read_filter(r: &mut SnapReader<'_>) -> Result<FilterState, SnapshotError> {
 }
 
 impl DrillSession {
-    /// Solves the healthy baseline (recording its telemetry into the
-    /// caller's sinks, exactly as the uninterrupted drill does) and
-    /// prepares the scan loop.
+    /// Solves the healthy baseline (recording its telemetry — spans
+    /// of the immersion ladder included — into `obs`, exactly as the
+    /// uninterrupted drill does) and prepares the scan loop.
     ///
     /// # Errors
     ///
@@ -652,29 +582,9 @@ impl DrillSession {
         rng: Rng,
         supervised: bool,
         obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<Self, Box<DrillOutcome>> {
-        Self::new_spanned(drill, rng, supervised, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::new`] plus span attribution: the baseline
-    /// steady solve runs through the spanned immersion ladder, so its
-    /// `immersion.ladder` / `rung` spans land on `spans`. Telemetry on
-    /// `obs` and `trace` is byte-identical to [`DrillSession::new`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DrillSession::new`].
-    #[allow(clippy::result_large_err)]
-    pub fn new_spanned(
-        drill: &FaultDrill,
-        rng: Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
     ) -> Result<Self, Box<DrillOutcome>> {
         use rcs_obs::trace::ChannelKind;
+        let trace = obs.trace();
         obs.inc("drill.runs");
         // Open the per-scan channels before the baseline solve so the
         // trace layout matches the legacy loop exactly.
@@ -704,7 +614,7 @@ impl DrillSession {
         // reference resistance.
         let baseline = match ImmersionModel::new(drill.module.clone(), drill.bath.clone())
             .with_operating_point(OperatingPoint::at_utilization(drill.demand_utilization))
-            .solve_robust_spanned(obs, trace, spans)
+            .solve_robust_observed(obs)
         {
             Ok(r) => r,
             Err(e) => {
@@ -746,8 +656,9 @@ impl DrillSession {
     /// Runs one sensor scan + integration step. Returns `false` once
     /// the drill horizon is reached or a mid-run solver failure ended
     /// the drill early (the call is then a no-op).
-    pub fn step(&mut self, drill: &FaultDrill, obs: &Registry, trace: &TraceRecorder) -> bool {
+    pub fn step(&mut self, drill: &FaultDrill, obs: &Registry) -> bool {
         use rcs_obs::trace::ChannelKind;
+        let trace = obs.trace();
         let Some(tick) = self.clock.tick() else {
             return false;
         };
@@ -777,7 +688,6 @@ impl DrillSession {
                     self.r_chip_baseline,
                     self.chips,
                     obs,
-                    trace,
                 ) {
                     Ok(l) => {
                         self.lin = Some(l);
@@ -899,15 +809,9 @@ impl DrillSession {
     }
 
     /// Advances at most `max_steps` scans; returns how many ran.
-    pub fn run(
-        &mut self,
-        drill: &FaultDrill,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        max_steps: u64,
-    ) -> u64 {
+    pub fn run(&mut self, drill: &FaultDrill, obs: &Registry, max_steps: u64) -> u64 {
         let mut taken = 0;
-        while taken < max_steps && self.step(drill, obs, trace) {
+        while taken < max_steps && self.step(drill, obs) {
             taken += 1;
         }
         taken
@@ -949,23 +853,11 @@ impl DrillSession {
 
     /// Seals the full drill state — clock, plant state, supervisor
     /// filter histories, cached linearization, RNG stream position,
-    /// partial outcome — plus the contents of `obs` and `trace` into
+    /// partial outcome — plus the contents of `obs` (trace and span
+    /// sink included, so a span bracketing this drill survives) into
     /// versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing this
-    /// drill survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, obs: &Registry) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.clock.write_into(&mut w);
         w.u64_slice(&self.rng.state());
@@ -1038,14 +930,14 @@ impl DrillSession {
             None => w.bool(false),
         }
         w.u64(self.outcome.steps as u64);
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(obs).write_into(&mut w);
         rcs_kernel::seal(DRILL_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`DrillSession::checkpoint`] bytes,
-    /// restoring the captured telemetry into the (fresh) `obs` and
-    /// `trace` sinks. The resumed session finishes bitwise identically
-    /// to the uninterrupted one — including every remaining RNG draw.
+    /// restoring the captured telemetry into the (fresh) `obs`. The
+    /// resumed session finishes bitwise identically to the
+    /// uninterrupted one — including every remaining RNG draw.
     ///
     /// # Errors
     ///
@@ -1053,28 +945,7 @@ impl DrillSession {
     /// of a different kind. The `drill` must be the same script the
     /// checkpoint was taken from; the snapshot stores only the mutable
     /// state, not the script.
-    pub fn resume(
-        drill: &FaultDrill,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(drill, bytes, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`DrillSession::resume`].
-    pub fn resume_spanned(
-        drill: &FaultDrill,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<Self, SnapshotError> {
+    pub fn resume(drill: &FaultDrill, bytes: &[u8], obs: &Registry) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(DRILL_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
         let clock = Clock::read_from(&mut r)?;
@@ -1161,7 +1032,7 @@ impl DrillSession {
                 "trailing bytes after drill session state".to_owned(),
             ));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        sinks.restore(obs)?;
         let to_usize = |v: u64, what: &str| {
             usize::try_from(v)
                 .map_err(|_| SnapshotError::Malformed(format!("{what} {v} overflows usize")))
@@ -1299,7 +1170,7 @@ mod tests {
 
     #[test]
     fn nominal_drill_raises_nothing() {
-        let outcome = nominal_drill().run(&mut rng());
+        let outcome = nominal_drill().run_observed(&mut rng(), Registry::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
@@ -1310,7 +1181,7 @@ mod tests {
     #[test]
     fn nominal_skat_plus_drill_raises_nothing() {
         let drill = FaultDrill::skat_plus("nominal", FaultTimeline::new(), Seconds::minutes(10.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run_observed(&mut rng(), Registry::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
@@ -1328,7 +1199,7 @@ mod tests {
             "ground truth must cross the ceiling: {open:?}"
         );
 
-        let supervised = drill.run(&mut rng());
+        let supervised = drill.run_observed(&mut rng(), Registry::disabled());
         assert!(supervised.shut_down);
         assert_eq!(supervised.violation_steps, 0, "{supervised:?}");
         assert!(supervised.peak_junction.degrees() < 67.5);
@@ -1407,7 +1278,7 @@ mod tests {
                 },
             );
         let drill = FaultDrill::skat("sensor storm", timeline, Seconds::minutes(12.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run_observed(&mut rng(), Registry::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         // but the broken channels are reported for maintenance
@@ -1420,7 +1291,7 @@ mod tests {
         let timeline = FaultTimeline::new()
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat_plus("single seizure", timeline, Seconds::minutes(15.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run_observed(&mut rng(), Registry::disabled());
         assert!(!outcome.shut_down, "{outcome:?}");
         assert!(outcome.clean());
     }
@@ -1434,7 +1305,7 @@ mod tests {
             },
         );
         let drill = FaultDrill::skat("leak", timeline, Seconds::minutes(20.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run_observed(&mut rng(), Registry::disabled());
         // warning (top-up) first, shutdown at the critical level
         assert!(outcome.time_to_alarm.is_some());
         assert!(outcome.shut_down);
@@ -1511,28 +1382,19 @@ mod tests {
     }
 
     #[test]
-    fn observed_and_plain_drills_produce_identical_outcomes() {
-        let timeline = FaultTimeline::new()
-            .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
-        let drill = FaultDrill::skat("parity", timeline, Seconds::minutes(8.0));
-        let plain = drill.run(&mut Rng::seed_from_u64(123));
-        let observed = drill.run_observed(&mut Rng::seed_from_u64(123), &Registry::new());
-        assert_eq!(plain, observed);
-    }
-
-    #[test]
     fn drills_are_deterministic_for_equal_rngs() {
         let timeline = FaultTimeline::new()
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat("determinism", timeline, Seconds::minutes(8.0));
-        let a = drill.run(&mut Rng::seed_from_u64(123));
-        let b = drill.run(&mut Rng::seed_from_u64(123));
+        let a = drill.run_observed(&mut Rng::seed_from_u64(123), Registry::disabled());
+        let b = drill.run_observed(&mut Rng::seed_from_u64(123), Registry::disabled());
         assert_eq!(a, b);
     }
 
     #[test]
     fn drill_session_checkpoint_resume_is_bitwise_identical() {
         use rcs_obs::trace::TraceRecorder;
+        let traced = || Registry::new().with_trace(TraceRecorder::new());
 
         // A drill that exercises every stateful subsystem: the pump
         // seizure trips relinearizations, alarms, throttles and an
@@ -1544,29 +1406,24 @@ mod tests {
         };
         let drill = FaultDrill::skat("resume", timeline(), Seconds::minutes(20.0));
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
+        let obs_ref = traced();
         let mut rng_ref = rng();
-        let reference = drill.run_traced(&mut rng_ref, &obs_ref, &trace_ref);
+        let reference = drill.run_observed(&mut rng_ref, &obs_ref);
         assert_eq!(reference.steps, 600, "20 min at 2 s scans");
 
         // Splits straddle the seizure (scan 60), the shutdown region and
         // both endpoints (0 = checkpoint before any scan, 600 = after
         // the last one).
         for k in [0u64, 1, 59, 60, 61, 137, 599, 600] {
-            let obs_a = Registry::new();
-            let trace_a = TraceRecorder::new();
-            let mut session =
-                DrillSession::new(&drill, Rng::seed_from_u64(7), true, &obs_a, &trace_a)
-                    .expect("baseline solves");
-            session.run(&drill, &obs_a, &trace_a, k);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            let obs_a = traced();
+            let mut session = DrillSession::new(&drill, Rng::seed_from_u64(7), true, &obs_a)
+                .expect("baseline solves");
+            session.run(&drill, &obs_a, k);
+            let bytes = session.checkpoint(&obs_a);
 
-            let obs_b = Registry::new();
-            let trace_b = TraceRecorder::new();
-            let mut resumed =
-                DrillSession::resume(&drill, &bytes, &obs_b, &trace_b).expect("snapshot opens");
-            while resumed.step(&drill, &obs_b, &trace_b) {}
+            let obs_b = traced();
+            let mut resumed = DrillSession::resume(&drill, &bytes, &obs_b).expect("snapshot opens");
+            while resumed.step(&drill, &obs_b) {}
             assert!(resumed.is_finished());
             let (outcome, final_rng) = resumed.finish(&obs_b);
 
@@ -1577,8 +1434,8 @@ mod tests {
                 "golden counters diverged at split {k}"
             );
             assert_eq!(
-                trace_b.snapshot(),
-                trace_ref.snapshot(),
+                obs_b.trace().snapshot(),
+                obs_ref.trace().snapshot(),
                 "traces diverged at split {k}"
             );
             assert_eq!(
@@ -1591,33 +1448,24 @@ mod tests {
 
     #[test]
     fn corrupt_drill_snapshot_is_a_structured_error() {
-        use rcs_obs::trace::TraceRecorder;
-
         let drill = nominal_drill();
         let obs = Registry::new();
-        let trace = TraceRecorder::new();
-        let mut session = DrillSession::new(&drill, rng(), true, &obs, &trace).unwrap();
-        session.run(&drill, &obs, &trace, 50);
-        let bytes = session.checkpoint(&obs, &trace);
+        let mut session = DrillSession::new(&drill, rng(), true, &obs).unwrap();
+        session.run(&drill, &obs, 50);
+        let bytes = session.checkpoint(&obs);
 
         // Bit flip anywhere in the payload: caught by the CRC.
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x10;
         assert!(matches!(
-            DrillSession::resume(&drill, &flipped, &Registry::new(), &TraceRecorder::new()),
+            DrillSession::resume(&drill, &flipped, &Registry::new()),
             Err(SnapshotError::BadCrc { .. })
         ));
 
         // Truncation: never a panic, always a structured error.
         for cut in [0, 3, 8, bytes.len() - 9, bytes.len() - 1] {
             assert!(
-                DrillSession::resume(
-                    &drill,
-                    &bytes[..cut],
-                    &Registry::new(),
-                    &TraceRecorder::new()
-                )
-                .is_err(),
+                DrillSession::resume(&drill, &bytes[..cut], &Registry::new()).is_err(),
                 "truncated at {cut}"
             );
         }
@@ -1625,7 +1473,7 @@ mod tests {
         // A valid snapshot of a *different* kind is refused by name.
         let foreign = rcs_kernel::seal("some.other.session", b"payload");
         assert!(matches!(
-            DrillSession::resume(&drill, &foreign, &Registry::new(), &TraceRecorder::new()),
+            DrillSession::resume(&drill, &foreign, &Registry::new()),
             Err(SnapshotError::BadKind { .. })
         ));
     }

@@ -22,33 +22,17 @@ pub fn run() -> Vec<Table> {
 /// and the warm-up integration both thread the registry down, so the
 /// manifest shows exactly how hard the prototype reproduction worked
 /// (`immersion.solve.*`, `hydraulics.ladder.*`, `thermal.transient.*`).
+/// The Fig. 2 warm-up pushes its chip-field and bath series into the
+/// `immersion.warmup.*` channels of the trace (decimated
+/// deterministically to the recorder capacity), and the steady solve
+/// and the warm-up run inside `immersion.solve` / `immersion.warmup`
+/// spans.
 #[must_use]
 pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording: the Fig. 2 warm-up pushes its
-/// chip-field and bath series into the `immersion.warmup.*` channels of
-/// `trace` (decimated deterministically to the recorder capacity).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    run_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run_traced`] plus span attribution: the steady solve runs inside
-/// an `immersion.solve` span and the Fig. 2 warm-up inside an
-/// `immersion.warmup` span. Telemetry on `obs` and `trace` is
-/// byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
     let model = ImmersionModel::skat();
-    spans.enter("immersion.solve", obs);
+    obs.enter("immersion.solve");
     let report = model.solve_observed(obs).expect("SKAT converges");
-    spans.exit(obs);
+    obs.exit();
 
     let steady = Table::new(
         "E5 — SKAT immersion heat test, paper vs model",
@@ -103,11 +87,11 @@ pub fn run_spanned(
             .collect(),
     );
 
-    spans.enter("immersion.warmup", obs);
+    obs.enter("immersion.warmup");
     let warmup = model
-        .warmup_traced(Seconds::hours(2.0), Seconds::new(2.0), obs, trace)
+        .warmup_observed(Seconds::hours(2.0), Seconds::new(2.0), obs)
         .expect("warm-up integrates");
-    spans.exit(obs);
+    obs.exit();
     let chip = warmup.chip_series();
     let bath = warmup.bath_series();
     let samples = [0.0, 60.0, 180.0, 420.0, 900.0, 1800.0, 3600.0, 7200.0];

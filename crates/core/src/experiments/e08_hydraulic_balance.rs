@@ -8,7 +8,7 @@
 //! heat-transfer agent flow is evenly changed in the rest of modules."
 
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{balance, layout};
+use rcs_hydraulics::{balance, layout, SolveOptions};
 use rcs_obs::Registry;
 use rcs_units::Celsius;
 
@@ -35,9 +35,14 @@ fn water() -> rcs_fluids::FluidState {
 }
 
 fn measure(plan: &layout::ManifoldPlan, label: &str, obs: &Registry) -> LayoutRow {
-    let sol = plan
-        .network
-        .solve_observed(&water(), obs)
+    let net = &plan.network;
+    let sol = net
+        .solve_with(
+            &water(),
+            &SolveOptions::default(),
+            &mut net.solver_context(),
+            obs,
+        )
         .expect("manifold converges");
     let flows = plan.loop_flows(&sol);
     LayoutRow {
@@ -49,16 +54,11 @@ fn measure(plan: &layout::ManifoldPlan, label: &str, obs: &Registry) -> LayoutRo
 }
 
 /// Computes the three layout rows: direct return, direct return with
-/// auto-trimmed balancing valves, and reverse return.
-#[must_use]
-pub fn rows() -> Vec<LayoutRow> {
-    rows_observed(Registry::disabled())
-}
-
-/// [`rows`] with solver telemetry: the three measurement solves record
-/// `hydraulics.solve.*` counters into `obs` (the auto-trim iteration is
-/// deliberately unobserved — its solve count is an implementation detail
-/// of the valve-trimming search, not of the reported layouts).
+/// auto-trimmed balancing valves, and reverse return. The three
+/// measurement solves record `hydraulics.solve.*` counters into `obs`
+/// (the auto-trim iteration is deliberately unobserved — its solve count
+/// is an implementation detail of the valve-trimming search, not of the
+/// reported layouts).
 #[must_use]
 pub fn rows_observed(obs: &Registry) -> Vec<LayoutRow> {
     let direct = layout::rack_manifold(LOOPS, layout::ReturnStyle::Direct);
@@ -78,13 +78,8 @@ pub fn rows_observed(obs: &Registry) -> Vec<LayoutRow> {
 }
 
 /// The failure-injection series: per-loop flows of the reverse-return
-/// layout before and after loop `failed` closes.
-#[must_use]
-pub fn failure_series(failed: usize) -> (Vec<f64>, Vec<f64>) {
-    failure_series_observed(failed, Registry::disabled())
-}
-
-/// [`failure_series`] with the two solves recorded into `obs`.
+/// layout before and after loop `failed` closes, the two solves
+/// recorded into `obs`.
 #[must_use]
 pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<f64>) {
     let mut plan = layout::rack_manifold(LOOPS, layout::ReturnStyle::Reverse);
@@ -92,11 +87,12 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
     // openness, which rebuilds the sparse schedule but keeps the healthy
     // flows as the warm seed for the degraded re-solve.
     let mut ctx = plan.network.solver_context();
+    let opts = SolveOptions::default();
     let before = plan
         .loop_flows(
             &plan
                 .network
-                .solve_observed_in(&water(), &mut ctx, obs)
+                .solve_with(&water(), &opts, &mut ctx, obs)
                 .expect("converges"),
         )
         .iter()
@@ -107,7 +103,7 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
         .loop_flows(
             &plan
                 .network
-                .solve_observed_in(&water(), &mut ctx, obs)
+                .solve_with(&water(), &opts, &mut ctx, obs)
                 .expect("converges"),
         )
         .iter()
@@ -122,20 +118,18 @@ pub fn run() -> Vec<Table> {
     run_observed(Registry::disabled())
 }
 
-/// [`run`] with every measurement solve recorded into `obs`.
-#[must_use]
-pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording: each layout's per-loop flow
-/// distribution lands in a `e08.flow/<layout>` channel (loop index as
-/// the time axis), and the failure injection records its before/after
-/// series in `e08.failure.before` / `e08.failure.after`.
+/// [`run`] with every measurement solve recorded into `obs`. On the
+/// trace, each layout's per-loop flow distribution lands in a
+/// `e08.flow/<layout>` channel (loop index as the time axis), and the
+/// failure injection records its before/after series in
+/// `e08.failure.before` / `e08.failure.after`; the whole measurement
+/// pass runs inside one `hydraulics.balance` span.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
+pub fn run_observed(obs: &Registry) -> Vec<Table> {
     use rcs_obs::trace::ChannelKind;
+    let trace = obs.trace();
+    obs.enter("hydraulics.balance");
     let data = rows_observed(obs);
     if trace.is_enabled() {
         for row in &data {
@@ -214,23 +208,8 @@ pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<
         rows_fail,
     );
 
+    obs.exit();
     vec![distribution, failure]
-}
-
-/// [`run_traced`] plus span attribution: the full measurement pass
-/// (three layout solves plus the failure injection) runs inside a
-/// single `hydraulics.balance` span. Telemetry on `obs` and `trace` is
-/// byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    spans.enter("hydraulics.balance", obs);
-    let tables = run_traced(obs, trace);
-    spans.exit(obs);
-    tables
 }
 
 #[cfg(test)]
@@ -239,7 +218,7 @@ mod tests {
 
     #[test]
     fn reverse_return_beats_untrimmed_direct() {
-        let data = rows();
+        let data = rows_observed(Registry::disabled());
         let direct = &data[0];
         let reverse = &data[2];
         assert!(reverse.spread < direct.spread);
@@ -249,7 +228,7 @@ mod tests {
 
     #[test]
     fn trimming_matches_reverse_but_needs_valves() {
-        let data = rows();
+        let data = rows_observed(Registry::disabled());
         let trimmed = &data[1];
         assert!(trimmed.spread < 1.05, "spread = {}", trimmed.spread);
     }
@@ -273,7 +252,7 @@ mod tests {
 
     #[test]
     fn failure_gains_are_even() {
-        let (_, after) = failure_series(2);
+        let (_, after) = failure_series_observed(2, Registry::disabled());
         let survivors: Vec<f64> = after
             .iter()
             .enumerate()

@@ -57,16 +57,39 @@ fn label(arch: &CoolingArchitecture) -> String {
     }
 }
 
-/// Computes the per-architecture rows.
+/// Computes the per-architecture rows with Monte-Carlo telemetry.
 ///
-/// The four architectures are independent seeded studies, so they run as
-/// parallel work items (each of which chunks its own trials in turn);
-/// row order and every value are identical to the serial sweep.
+/// The four architectures are independent seeded studies, so they run
+/// as parallel work items (each of which chunks its own trials in
+/// turn); row order and every value are identical to the serial sweep.
+/// Every study runs on a per-item shard of `obs` (via
+/// [`rcs_parallel::par_map_observed`]) and records the `mc.*` counters
+/// — runs, trials, chunks, failure events, hardware losses — merged
+/// into `obs` in architecture order, so the snapshot is bit-identical
+/// at any `RCS_THREADS`. On the trace, every architecture's per-trial
+/// availability series lands in a `<architecture>/mc.availability`
+/// channel (global trial index as the time axis, deterministically
+/// decimated), merged in architecture order.
 #[must_use]
-pub fn rows() -> Vec<ReliabilityRow> {
-    rcs_parallel::par_map(architectures(), |_, arch| {
+pub fn rows_observed(obs: &Registry) -> Vec<ReliabilityRow> {
+    let threads = rcs_parallel::thread_count();
+    let archs = architectures();
+    let labels: Vec<String> = archs.iter().map(label).collect();
+    let options = rcs_parallel::MapOptions {
+        label: &|i| labels[i].clone(),
+        item_spans: false,
+        count_shape: true,
+    };
+    rcs_parallel::par_map_observed(archs, threads, obs, options, |_, arch, shard| {
         let classes = risk::failure_classes(&arch);
-        let mc = availability::monte_carlo(&classes, HORIZON_YEARS, TRIALS, SEED);
+        let mc = availability::monte_carlo_observed(
+            &classes,
+            HORIZON_YEARS,
+            TRIALS,
+            SEED,
+            threads,
+            shard,
+        );
         ReliabilityRow {
             architecture: label(&arch),
             connections: arch.pressure_tight_connections(),
@@ -77,56 +100,9 @@ pub fn rows() -> Vec<ReliabilityRow> {
             hardware_losses: mc.mean_hardware_losses,
         }
     })
-}
-
-/// [`rows`] with Monte-Carlo telemetry: every architecture's study runs
-/// in a per-item shard registry (via [`rcs_parallel::par_map_observed`])
-/// and records the `mc.*` counters — runs, trials, chunks, failure
-/// events, hardware losses — merged into `obs` in architecture order,
-/// so the snapshot is bit-identical at any `RCS_THREADS`.
-#[must_use]
-pub fn rows_observed(obs: &Registry) -> Vec<ReliabilityRow> {
-    rows_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`rows_observed`] plus trace recording: every architecture's study
-/// pushes its per-trial availability series into a
-/// `<architecture>/mc.availability` channel (global trial index as the
-/// time axis, deterministically decimated), merged in architecture
-/// order.
-#[must_use]
-pub fn rows_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<ReliabilityRow> {
-    let threads = rcs_parallel::thread_count();
-    let archs = architectures();
-    let labels: Vec<String> = archs.iter().map(label).collect();
-    rcs_parallel::par_map_traced(
-        archs,
-        threads,
-        obs,
-        trace,
-        |i| labels[i].clone(),
-        |_, arch, shard, shard_trace| {
-            let classes = risk::failure_classes(&arch);
-            let mc = availability::monte_carlo_traced(
-                &classes,
-                HORIZON_YEARS,
-                TRIALS,
-                SEED,
-                threads,
-                shard,
-                shard_trace,
-            );
-            ReliabilityRow {
-                architecture: label(&arch),
-                connections: arch.pressure_tight_connections(),
-                events_per_year: classes.iter().map(|c| c.rate_per_year).sum(),
-                downtime_hours_per_year: risk::expected_annual_downtime_hours(&classes),
-                availability: mc.mean_availability,
-                p05_availability: mc.p05_availability,
-                hardware_losses: mc.mean_hardware_losses,
-            }
-        },
-    )
+    .into_iter()
+    .map(|row| row.unwrap_or_else(|panic| panic!("reliability study {panic}")))
+    .collect()
 }
 
 /// Renders the experiment tables.
@@ -136,16 +112,13 @@ pub fn run() -> Vec<Table> {
 }
 
 /// [`run`] with the `mc.*` telemetry of every architecture recorded
-/// into `obs`.
+/// into `obs` (see [`rows_observed`]); the sweep runs inside one
+/// `reliability.sweep` span.
 #[must_use]
 pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording (see [`rows_traced`]).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    let data = rows_traced(obs, trace);
+    obs.enter("reliability.sweep");
+    let data = rows_observed(obs);
+    obs.exit();
     let table = Table::new(
         format!(
             "E12 — {HORIZON_YEARS:.0}-year Monte-Carlo availability ({TRIALS} trials, seed {SEED})"
@@ -176,28 +149,13 @@ pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<
     vec![table]
 }
 
-/// [`run_traced`] plus span attribution: the architecture sweep runs
-/// inside a single `reliability.sweep` span. Telemetry on `obs` and
-/// `trace` is byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    spans.enter("reliability.sweep", obs);
-    let tables = run_traced(obs, trace);
-    spans.exit(obs);
-    tables
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn immersion_beats_cold_plates_on_every_axis() {
-        let data = rows();
+        let data = rows_observed(Registry::disabled());
         let plates = &data[1];
         let immersion = &data[2];
         assert!(immersion.connections < plates.connections / 10);
@@ -209,21 +167,23 @@ mod tests {
 
     #[test]
     fn skat_plus_improves_on_skat() {
-        let data = rows();
+        let data = rows_observed(Registry::disabled());
         assert!(data[3].downtime_hours_per_year <= data[2].downtime_hours_per_year);
         assert!(data[3].connections < data[2].connections);
     }
 
     #[test]
     fn experiment_is_deterministic() {
-        assert_eq!(rows(), rows());
+        assert_eq!(
+            rows_observed(Registry::disabled()),
+            rows_observed(Registry::disabled())
+        );
     }
 
     #[test]
-    fn observed_rows_match_plain_and_count_every_trial() {
+    fn observed_rows_count_every_trial() {
         let obs = Registry::new();
-        let observed = rows_observed(&obs);
-        assert_eq!(observed, rows());
+        let _ = rows_observed(&obs);
         let snap = obs.snapshot();
         let n = architectures().len() as u64;
         assert_eq!(snap.counter("mc.runs"), n);

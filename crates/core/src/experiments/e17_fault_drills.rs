@@ -135,79 +135,30 @@ fn cells() -> Vec<FaultDrill> {
     drills
 }
 
-/// Runs the full matrix with the ambient `RCS_THREADS` worker count.
-#[must_use]
-pub fn rows() -> Vec<DrillOutcome> {
-    rows_with_threads(rcs_parallel::thread_count())
-}
-
-/// [`rows`] with an explicit worker count. Each cell owns a jumped RNG
-/// stream, so the outcome vector is bit-identical at every count.
+/// The matrix at an explicit worker count, unobserved. Each cell owns
+/// a jumped RNG stream, so the outcome vector is bit-identical at every
+/// count.
 #[must_use]
 pub fn rows_with_threads(threads: usize) -> Vec<DrillOutcome> {
-    let drills = cells();
-    let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
-    let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_indexed(work, threads, |_, (drill, mut rng)| drill.run(&mut rng))
+    rows_with_threads_observed(threads, Registry::disabled())
 }
 
 /// [`rows_with_threads`] with full drill telemetry: every matrix cell
-/// runs in a per-cell shard registry and its `drill.*` / `immersion.*` /
-/// `hydraulics.*` counters are merged into `obs` in matrix order. The
-/// merged snapshot is therefore exactly as thread-invariant as the
-/// outcome vector itself — the `telemetry_determinism` integration test
-/// pins that down.
-#[must_use]
-pub fn rows_with_threads_observed(threads: usize, obs: &Registry) -> Vec<DrillOutcome> {
-    rows_with_threads_traced(threads, obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`rows_with_threads_observed`] plus trace recording: every matrix
-/// cell records its drill trajectory (`drill.t_chip`, `drill.t_bath`,
-/// `drill.flow_lpm`, `drill.utilization`, `drill.alarms`,
-/// `drill.action`) into a per-cell shard recorder whose channels are
-/// merged under a `<design>/<drill>/` prefix in matrix order — so the
-/// trace snapshot is exactly as thread-invariant as the outcome vector.
-#[must_use]
-pub fn rows_with_threads_traced(
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> Vec<DrillOutcome> {
-    let drills = cells();
-    let labels: Vec<String> = drills
-        .iter()
-        .map(|d| format!("{}/{}", d.module.name(), d.name))
-        .collect();
-    let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
-    let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_traced(
-        work,
-        threads,
-        obs,
-        trace,
-        |i| labels[i].clone(),
-        |_, (drill, mut rng), shard, shard_trace| drill.run_traced(&mut rng, shard, shard_trace),
-    )
-}
-
-/// [`rows_with_threads_traced`] plus span attribution: every matrix
-/// cell runs inside a `<design>/<drill>` span absorbed into `spans` in
-/// matrix order, so the span tree is exactly as thread-invariant as the
-/// outcome vector. Telemetry on `obs` and `trace` is byte-identical to
-/// [`rows_with_threads_traced`].
+/// runs in a per-cell shard of `obs` inside a `<design>/<drill>` span,
+/// and its `drill.*` / `immersion.*` / `hydraulics.*` counters, its
+/// drill trajectory (`drill.t_chip`, `drill.t_bath`, `drill.flow_lpm`,
+/// `drill.utilization`, `drill.alarms`, `drill.action`, under a
+/// `<design>/<drill>/` channel prefix) and its span tree are merged
+/// into `obs` in matrix order. All three are therefore exactly as
+/// thread-invariant as the outcome vector itself — the
+/// `telemetry_determinism` and `spans` integration tests pin that down.
 ///
 /// # Panics
 ///
 /// Panics if a drill cell panics — drills are deterministic physics,
 /// never expected to unwind.
 #[must_use]
-pub fn rows_with_threads_spanned(
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<DrillOutcome> {
+pub fn rows_with_threads_observed(threads: usize, obs: &Registry) -> Vec<DrillOutcome> {
     let drills = cells();
     let labels: Vec<String> = drills
         .iter()
@@ -215,17 +166,14 @@ pub fn rows_with_threads_spanned(
         .collect();
     let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
     let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_spanned(
-        work,
-        threads,
-        obs,
-        trace,
-        spans,
-        |i| labels[i].clone(),
-        |_, (drill, mut rng), shard, shard_trace, shard_spans| {
-            drill.run_spanned(&mut rng, shard, shard_trace, shard_spans)
-        },
-    )
+    let options = rcs_parallel::MapOptions {
+        label: &|i| labels[i].clone(),
+        item_spans: true,
+        count_shape: true,
+    };
+    rcs_parallel::par_map_observed(work, threads, obs, options, |_, (drill, mut rng), shard| {
+        drill.run_observed(&mut rng, shard)
+    })
     .into_iter()
     .enumerate()
     .map(|(i, cell)| match cell {
@@ -242,42 +190,16 @@ fn fmt_time(t: Option<Seconds>) -> String {
 /// Renders the experiment table.
 #[must_use]
 pub fn run() -> Vec<Table> {
-    render(&rows())
+    run_observed(Registry::disabled())
 }
 
-/// [`run`] with the matrix telemetry recorded into `obs`.
+/// [`run`] with the matrix telemetry recorded into `obs` (see
+/// [`rows_with_threads_observed`]).
 #[must_use]
 pub fn run_observed(obs: &Registry) -> Vec<Table> {
     render(&rows_with_threads_observed(
         rcs_parallel::thread_count(),
         obs,
-    ))
-}
-
-/// [`run_observed`] plus trace recording (see
-/// [`rows_with_threads_traced`]).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    render(&rows_with_threads_traced(
-        rcs_parallel::thread_count(),
-        obs,
-        trace,
-    ))
-}
-
-/// [`run_traced`] plus span attribution (see
-/// [`rows_with_threads_spanned`]).
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    render(&rows_with_threads_spanned(
-        rcs_parallel::thread_count(),
-        obs,
-        trace,
-        spans,
     ))
 }
 
@@ -375,10 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn observed_matrix_matches_plain_and_counts_every_cell() {
+    fn observed_matrix_counts_every_cell() {
         let obs = Registry::new();
-        let observed = rows_with_threads_observed(1, &obs);
-        assert_eq!(observed, rows_with_threads(1));
+        let _ = rows_with_threads_observed(1, &obs);
         let snap = obs.snapshot();
         let cells = 2 * drill_scripts().len() as u64;
         assert_eq!(snap.counter("drill.runs"), cells);

@@ -90,69 +90,42 @@ impl core::fmt::Display for Table {
     }
 }
 
-/// Runs every experiment and returns all tables in order.
-#[must_use]
-pub fn run_all() -> Vec<Table> {
-    run_all_observed(rcs_obs::Registry::disabled())
-}
-
-/// [`run_all`] with telemetry: the instrumented experiments (E5, E8,
-/// E12, E17) record their solver, Monte-Carlo and drill counters into
-/// `obs`; the rest run exactly as before. The merged snapshot is the
-/// `exp_all` manifest body.
+/// Runs every experiment and returns all tables in order. The
+/// instrumented experiments (E5, E8, E12, E17) record their solver,
+/// Monte-Carlo and drill counters into `obs` and, when `obs` carries
+/// them, their deterministic sample series (warm-up temperatures,
+/// manifold flows, MC availabilities, drill trajectories) into its
+/// trace and an `exp.<id>` root span each — whose children break the
+/// run down (solver ladders, drill cells, warm-up sessions) — into its
+/// span sink; the rest run exactly as before. The merged snapshot is
+/// the `exp_all` manifest body.
 #[must_use]
 pub fn run_all_observed(obs: &rcs_obs::Registry) -> Vec<Table> {
-    run_all_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_all_observed`] plus trace recording: the instrumented
-/// experiments also push their deterministic sample series (warm-up
-/// temperatures, manifold flows, MC availabilities, drill trajectories)
-/// into `trace`.
-#[must_use]
-pub fn run_all_traced(
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> Vec<Table> {
-    run_all_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run_all_traced`] plus span attribution: each instrumented
-/// experiment runs inside an `exp.<id>` root span whose children break
-/// the run down (solver ladders, drill cells, warm-up sessions).
-/// Telemetry on `obs` and `trace` is byte-identical to
-/// [`run_all_traced`].
-#[must_use]
-pub fn run_all_spanned(
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
     let mut tables = Vec::new();
     tables.extend(e01_air_anchors::run());
     tables.extend(e03_family_scaling::run());
     tables.extend(e04_liquid_vs_air::run());
-    spans.enter("exp.e05_skat_thermal", obs);
-    tables.extend(e05_skat_thermal::run_spanned(obs, trace, spans));
-    spans.exit(obs);
+    obs.enter("exp.e05_skat_thermal");
+    tables.extend(e05_skat_thermal::run_observed(obs));
+    obs.exit();
     tables.extend(e06_generation_gains::run());
     tables.extend(e07_rack_pflops::run());
-    spans.enter("exp.e08_hydraulic_balance", obs);
-    tables.extend(e08_hydraulic_balance::run_spanned(obs, trace, spans));
-    spans.exit(obs);
+    obs.enter("exp.e08_hydraulic_balance");
+    tables.extend(e08_hydraulic_balance::run_observed(obs));
+    obs.exit();
     tables.extend(e09_skat_plus::run());
     tables.extend(e10_tim_washout::run());
     tables.extend(e11_heatsink_design::run());
-    spans.enter("exp.e12_reliability_mc", obs);
-    tables.extend(e12_reliability_mc::run_spanned(obs, trace, spans));
-    spans.exit(obs);
+    obs.enter("exp.e12_reliability_mc");
+    tables.extend(e12_reliability_mc::run_observed(obs));
+    obs.exit();
     tables.extend(e13_ablations::run());
     tables.extend(e14_energy::run());
     tables.extend(e15_maintenance::run());
     tables.extend(e16_fleet::run());
-    spans.enter("exp.e17_fault_drills", obs);
-    tables.extend(e17_fault_drills::run_spanned(obs, trace, spans));
-    spans.exit(obs);
+    obs.enter("exp.e17_fault_drills");
+    tables.extend(e17_fault_drills::run_observed(obs));
+    obs.exit();
     tables.extend(f01_design_figures::run());
     tables
 }
@@ -161,7 +134,15 @@ pub fn run_all_spanned(
 /// (byte-identical to the historical format — the determinism CI jobs
 /// diff it), counts them into `experiments.tables`, then emits the
 /// NDJSON run manifest via [`rcs_obs::manifest::emit`] (to the file
-/// named by `RCS_OBS_MANIFEST`, else stderr — never stdout).
+/// named by `RCS_OBS_MANIFEST`, else stderr — never stdout). A
+/// non-empty trace is then appended to the file named by
+/// `RCS_OBS_TRACE` (NDJSON, or CSV for a `.csv` path — see
+/// [`rcs_obs::trace::emit`]) and a non-empty span tree to the file
+/// named by `RCS_OBS_SPANS` (NDJSON, or a Chrome trace-event document
+/// for a `.json` path — see [`rcs_obs::span::emit`]). Pointing
+/// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` at the same file yields one
+/// NDJSON stream carrying the counters and the traces of the run, which
+/// is exactly what `obs_report` ingests.
 pub fn finish_run(experiment: &str, seed: Option<u64>, tables: &[Table], obs: &rcs_obs::Registry) {
     for table in tables {
         print!("{table}");
@@ -169,40 +150,14 @@ pub fn finish_run(experiment: &str, seed: Option<u64>, tables: &[Table], obs: &r
     obs.add("experiments.tables", tables.len() as u64);
     let meta = rcs_obs::manifest::RunMeta::new(experiment, seed, rcs_parallel::thread_count());
     rcs_obs::manifest::emit(&meta, obs);
-}
-
-/// [`finish_run`] plus trace export: after the manifest, the trace
-/// snapshot is appended to the file named by `RCS_OBS_TRACE` (NDJSON, or
-/// CSV for a `.csv` path — see [`rcs_obs::trace::emit`]). Pointing
-/// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` at the same file yields one
-/// NDJSON stream carrying the counters and the traces of the run, which
-/// is exactly what `obs_report` ingests. Stdout stays byte-identical.
-pub fn finish_run_traced(
-    experiment: &str,
-    seed: Option<u64>,
-    tables: &[Table],
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) {
-    finish_run(experiment, seed, tables, obs);
-    rcs_obs::trace::emit(&trace.snapshot());
-}
-
-/// [`finish_run_traced`] plus span export: after the manifest and the
-/// trace, the span tree is appended to the file named by
-/// `RCS_OBS_SPANS` (NDJSON, or a Chrome trace-event document for a
-/// `.json` path — see [`rcs_obs::span::emit`]). Stdout stays
-/// byte-identical.
-pub fn finish_run_spanned(
-    experiment: &str,
-    seed: Option<u64>,
-    tables: &[Table],
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) {
-    finish_run_traced(experiment, seed, tables, obs, trace);
-    rcs_obs::span::emit(&spans.snapshot());
+    let trace = obs.trace().snapshot();
+    if !trace.is_empty() {
+        rcs_obs::trace::emit(&trace);
+    }
+    let spans = obs.spans().snapshot();
+    if !spans.is_empty() {
+        rcs_obs::span::emit(&spans);
+    }
 }
 
 #[cfg(test)]

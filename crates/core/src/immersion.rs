@@ -2,7 +2,9 @@
 
 use rcs_cooling::ImmersionBath;
 use rcs_devices::{OperatingPoint, PowerModel};
-use rcs_hydraulics::{BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolverContext, Valve};
+use rcs_hydraulics::{
+    BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext, Valve,
+};
 use rcs_platform::{presets, ComputeModule};
 use rcs_thermal::{
     ChipStack, HeatSink, NodeId, ThermalInterface, ThermalNetwork, TimAging, TimMaterial,
@@ -164,21 +166,13 @@ impl ImmersionModel {
 
     /// Solves the circulation operating point at the given bulk oil
     /// temperature: the pump curve against bath + exchanger losses.
+    /// Telemetry recorded into `obs`: `immersion.circulation.calls` /
+    /// `.stagnant` counters plus the `hydraulics.ladder.*` counters of
+    /// the inner network solve.
     ///
     /// # Errors
     ///
     /// Propagates hydraulic solver failures.
-    pub fn circulation(&self, oil_bulk: Celsius) -> Result<(VolumeFlow, Power), CoreError> {
-        self.circulation_observed(oil_bulk, Registry::disabled())
-    }
-
-    /// [`ImmersionModel::circulation`] with telemetry recorded into
-    /// `obs`: `immersion.circulation.calls` / `.stagnant` counters plus
-    /// the `hydraulics.ladder.*` counters of the inner network solve.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::circulation`].
     pub fn circulation_observed(
         &self,
         oil_bulk: Celsius,
@@ -268,7 +262,7 @@ impl ImmersionModel {
         // networks, but deeply derated pump curves get the damped rungs
         // and, failing those, diagnostics naming the offending branch
         let solution = net
-            .solve_robust_observed_in(&oil, ctx, obs)
+            .solve_with_ladder(&oil, &SolveOptions::ladder(), ctx, obs)
             .map_err(CoreError::from)?;
         let flow = solution.flow(bath_branch);
         let electrical =
@@ -332,16 +326,7 @@ impl ImmersionModel {
     /// [`CoreError::NoConvergence`] (with its recorded residual) is
     /// returned if all fail.
     ///
-    /// # Errors
-    ///
-    /// As [`ImmersionModel::solve`]; substrate failures propagate
-    /// immediately without retries.
-    pub fn solve_robust(&self) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_observed(Registry::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust`] with telemetry recorded into
-    /// `obs` — all golden-channel integers:
+    /// Telemetry recorded into `obs` — golden counters:
     ///
     /// - `immersion.ladder.calls` / `.converged` / `.no_convergence` /
     ///   `.error` counters;
@@ -353,58 +338,31 @@ impl ImmersionModel {
     /// - the `immersion.circulation.*` and `hydraulics.ladder.*`
     ///   counters of every inner circulation solve (including the
     ///   abandoned rungs — the residual trajectory of the whole
-    ///   attempt, not just the survivor).
+    ///   attempt, not just the survivor);
+    ///
+    /// plus, on its trace, one `immersion.ladder.iterations` sample per
+    /// rung attempted (outer fixed-point iterations spent on that rung)
+    /// and an `immersion.ladder.residual` sample where a residual exists
+    /// — the convergence trajectory of the whole ladder, with the rung
+    /// index as the time axis — and, on its span sink, one
+    /// `immersion.ladder` span with a `rung` child per rung attempted,
+    /// so span rollups show exactly which rung burned the fixed-point
+    /// iterations.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
+    /// As [`ImmersionModel::solve`]; substrate failures propagate
+    /// immediately without retries.
+    #[allow(clippy::cast_precision_loss)]
     pub fn solve_robust_observed(&self, obs: &Registry) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust_observed`] plus trace recording:
-    /// every rung attempted (converged or abandoned) pushes one sample
-    /// into `immersion.ladder.iterations` (outer fixed-point iterations
-    /// spent on that rung) and, where a residual exists, into
-    /// `immersion.ladder.residual` — the convergence trajectory of the
-    /// whole ladder, with the rung index as the time axis.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_robust_traced(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust_traced`] plus span attribution:
-    /// the whole ladder runs inside one `immersion.ladder` span with
-    /// one `rung` child per damping rung attempted, so span rollups
-    /// show exactly which rung burned the fixed-point iterations.
-    /// Telemetry on `obs` and `trace` is byte-identical to the traced
-    /// variant — spans are a strict addition.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_robust_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Result<SteadyReport, CoreError> {
         use rcs_obs::trace::ChannelKind;
         const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
+        let trace = obs.trace();
         obs.inc("immersion.ladder.calls");
-        spans.enter("immersion.ladder", obs);
+        obs.enter("immersion.ladder");
         let mut last = None;
         for (rung, (damping, max_iter)) in LADDER.into_iter().enumerate() {
-            spans.enter("rung", obs);
+            obs.enter("rung");
             let attempt = self.solve_damped(damping, max_iter, obs);
             match attempt {
                 Err(
@@ -414,7 +372,7 @@ impl ImmersionModel {
                     },
                 ) => {
                     obs.work("immersion.fixed_point_iterations", iterations as u64);
-                    spans.exit(obs);
+                    obs.exit();
                     trace.record_named(
                         "immersion.ladder.iterations",
                         ChannelKind::Scalar,
@@ -441,33 +399,33 @@ impl ImmersionModel {
                         report.iterations as u64,
                     );
                     obs.work("immersion.fixed_point_iterations", report.iterations as u64);
-                    spans.exit(obs);
+                    obs.exit();
                     trace.record_named(
                         "immersion.ladder.iterations",
                         ChannelKind::Scalar,
                         rung as f64,
                         report.iterations as f64,
                     );
-                    spans.exit(obs);
+                    obs.exit();
                     return Ok(report);
                 }
                 Err(e) => {
                     obs.inc("immersion.ladder.error");
-                    spans.exit(obs);
-                    spans.exit(obs);
+                    obs.exit();
+                    obs.exit();
                     return Err(e);
                 }
             }
         }
         obs.inc("immersion.ladder.no_convergence");
         obs.add("immersion.ladder.escalations", (LADDER.len() - 1) as u64);
-        spans.exit(obs);
+        obs.exit();
         Err(last.expect("ladder has at least one rung"))
     }
 
     /// Solves with one explicit damping rung outside the standard
     /// ladder — the hook the query layer's deterministic retry ladder
-    /// uses to push past [`ImmersionModel::solve_robust`] with
+    /// uses to push past [`ImmersionModel::solve_robust_observed`] with
     /// progressively heavier damping (`damping` is the blend factor
     /// toward the new iterate; smaller is heavier). Work done by the
     /// fixed point lands on `profile.immersion.fixed_point_iterations`
@@ -682,7 +640,10 @@ impl ImmersionModel {
     /// [`ImmersionModel::warmup`] with telemetry recorded into `obs`:
     /// an `immersion.warmup.calls` counter plus the counters of the
     /// embedded steady solve (`immersion.solve.*`) and transient
-    /// integration (`thermal.transient.*`).
+    /// integration (`thermal.transient.*`), and on its trace the
+    /// chip-field and bath temperature series in the
+    /// `immersion.warmup.chip` / `immersion.warmup.bath` channels
+    /// (bounded — long warm-ups are decimated deterministically).
     ///
     /// # Errors
     ///
@@ -695,7 +656,7 @@ impl ImmersionModel {
     ) -> Result<WarmupTrace, CoreError> {
         let mut session = WarmupSession::new(self, duration, step, obs)?;
         while session.step() {}
-        Ok(session.finish(obs, rcs_obs::trace::TraceRecorder::disabled()))
+        Ok(session.finish(obs))
     }
 
     /// Builds the two-node warm-up network (chip field + oil bath
@@ -746,27 +707,6 @@ impl ImmersionModel {
             steady.total_heat - self.module.fpga_heat(self.op, steady.junction),
         )?;
         Ok((net, chip_node, bath_node))
-    }
-
-    /// [`ImmersionModel::warmup_observed`] plus trace recording: the
-    /// chip-field and bath temperature series are pushed into the
-    /// `immersion.warmup.chip` / `immersion.warmup.bath` channels of
-    /// `trace` (bounded — long warm-ups are decimated
-    /// deterministically).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::warmup`].
-    pub fn warmup_traced(
-        &self,
-        duration: Seconds,
-        step: Seconds,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<WarmupTrace, CoreError> {
-        let mut session = WarmupSession::new(self, duration, step, obs)?;
-        while session.step() {}
-        Ok(session.finish(obs, trace))
     }
 }
 
@@ -839,12 +779,13 @@ impl WarmupSession {
         self.inner.is_finished()
     }
 
-    /// Records the end-of-run telemetry (transient step counters into
-    /// `obs`, the `immersion.warmup.chip` / `immersion.warmup.bath`
-    /// series into `trace`) and yields the warm-up trace.
+    /// Records the end-of-run telemetry (transient step counters, and
+    /// the `immersion.warmup.chip` / `immersion.warmup.bath` series on
+    /// the trace of `obs`) and yields the warm-up trace.
     #[must_use]
-    pub fn finish(self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> WarmupTrace {
+    pub fn finish(self, obs: &Registry) -> WarmupTrace {
         use rcs_obs::trace::ChannelKind;
+        let trace = obs.trace();
         let warmup = WarmupTrace {
             trace: self.inner.finish_observed(&self.net, obs),
             chip_node: self.chip_node,
@@ -864,34 +805,19 @@ impl WarmupSession {
     }
 
     /// Seals the warm-up state — the embedded transient session plus
-    /// the contents of `obs` and `trace` — into versioned snapshot
-    /// bytes. The network itself is not captured; it is a pure function
-    /// of the model and is rebuilt on [`WarmupSession::resume`].
+    /// the contents of `obs` (trace and span sink included) — into
+    /// versioned snapshot bytes. The network itself is not captured; it
+    /// is a pure function of the model and is rebuilt on
+    /// [`WarmupSession::resume`].
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`WarmupSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing the
-    /// warm-up survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Vec<u8> {
-        rcs_kernel::seal(
-            WARMUP_SNAPSHOT_KIND,
-            &self.inner.checkpoint_spanned(obs, trace, spans),
-        )
+    pub fn checkpoint(&self, obs: &Registry) -> Vec<u8> {
+        rcs_kernel::seal(WARMUP_SNAPSHOT_KIND, &self.inner.checkpoint(obs))
     }
 
     /// Reconstructs a session from [`WarmupSession::checkpoint`] bytes,
     /// rebuilding the warm-up network from `model` (silently — its
     /// construction telemetry is already inside the snapshot) and
-    /// restoring the captured sinks into `obs` and `trace`.
+    /// restoring the captured sinks into `obs`.
     ///
     /// # Errors
     ///
@@ -902,29 +828,6 @@ impl WarmupSession {
         model: &ImmersionModel,
         bytes: &[u8],
         obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<Self, rcs_kernel::SnapshotError> {
-        Self::resume_spanned(
-            model,
-            bytes,
-            obs,
-            trace,
-            rcs_obs::span::SpanSink::disabled(),
-        )
-    }
-
-    /// [`WarmupSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`WarmupSession::resume`].
-    pub fn resume_spanned(
-        model: &ImmersionModel,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
     ) -> Result<Self, rcs_kernel::SnapshotError> {
         let inner_bytes = rcs_kernel::open(WARMUP_SNAPSHOT_KIND, bytes)?;
         // The network is derived state: rebuild it under disabled sinks
@@ -934,8 +837,7 @@ impl WarmupSession {
             model.warmup_network(Registry::disabled()).map_err(|e| {
                 rcs_kernel::SnapshotError::Malformed(format!("model rejected on resume: {e}"))
             })?;
-        let inner =
-            rcs_thermal::TransientSession::resume_spanned(&net, inner_bytes, obs, trace, spans)?;
+        let inner = rcs_thermal::TransientSession::resume(&net, inner_bytes, obs)?;
         Ok(Self {
             net,
             chip_node,
@@ -1033,7 +935,9 @@ mod tests {
     #[test]
     fn circulation_operating_point_is_sane() {
         let m = ImmersionModel::skat();
-        let (flow, electrical) = m.circulation(Celsius::new(28.0)).unwrap();
+        let (flow, electrical) = m
+            .circulation_observed(Celsius::new(28.0), Registry::disabled())
+            .unwrap();
         let lpm = flow.as_liters_per_minute();
         assert!(lpm > 150.0 && lpm < 900.0, "flow = {lpm} L/min");
         assert!(electrical.watts() > 50.0 && electrical.watts() < 3000.0);
@@ -1042,8 +946,12 @@ mod tests {
     #[test]
     fn warm_oil_circulates_faster() {
         let m = ImmersionModel::skat();
-        let (cold, _) = m.circulation(Celsius::new(10.0)).unwrap();
-        let (warm, _) = m.circulation(Celsius::new(40.0)).unwrap();
+        let (cold, _) = m
+            .circulation_observed(Celsius::new(10.0), Registry::disabled())
+            .unwrap();
+        let (warm, _) = m
+            .circulation_observed(Celsius::new(40.0), Registry::disabled())
+            .unwrap();
         assert!(warm > cold);
     }
 
@@ -1142,15 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_and_plain_solves_agree_exactly() {
-        let plain = ImmersionModel::skat().solve_robust().unwrap();
-        let observed = ImmersionModel::skat()
-            .solve_robust_observed(&Registry::new())
-            .unwrap();
-        assert_eq!(plain, observed);
-    }
-
-    #[test]
     fn stagnant_bath_records_stagnation_not_hydraulics() {
         let obs = Registry::new();
         let model = ImmersionModel::skat().with_pump_curves(Vec::new());
@@ -1192,31 +1091,27 @@ mod tests {
     #[test]
     fn warmup_session_checkpoint_resume_is_bitwise_identical() {
         use rcs_obs::trace::TraceRecorder;
+        let traced = || Registry::new().with_trace(TraceRecorder::new());
 
         let model = ImmersionModel::skat();
         let duration = Seconds::minutes(30.0);
         let step = Seconds::new(5.0); // 360 steps
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
-        let reference = model
-            .warmup_traced(duration, step, &obs_ref, &trace_ref)
-            .unwrap();
+        let obs_ref = traced();
+        let reference = model.warmup_observed(duration, step, &obs_ref).unwrap();
 
         for k in [0u64, 1, 179, 359, 360] {
-            let obs_a = Registry::new();
-            let trace_a = TraceRecorder::new();
+            let obs_a = traced();
             let mut session = WarmupSession::new(&model, duration, step, &obs_a).unwrap();
             session.run(k);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            let bytes = session.checkpoint(&obs_a);
 
-            let obs_b = Registry::new();
-            let trace_b = TraceRecorder::new();
+            let obs_b = traced();
             let mut resumed =
-                WarmupSession::resume(&model, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+                WarmupSession::resume(&model, &bytes, &obs_b).expect("snapshot opens");
             while resumed.step() {}
             assert!(resumed.is_finished());
-            let warmup = resumed.finish(&obs_b, &trace_b);
+            let warmup = resumed.finish(&obs_b);
 
             assert_eq!(
                 warmup.chip_series(),
@@ -1239,8 +1134,8 @@ mod tests {
                 "golden counters diverged at split {k}"
             );
             assert_eq!(
-                trace_b.snapshot(),
-                trace_ref.snapshot(),
+                obs_b.trace().snapshot(),
+                obs_ref.trace().snapshot(),
                 "traces diverged at split {k}"
             );
         }
@@ -1248,30 +1143,18 @@ mod tests {
 
     #[test]
     fn corrupt_warmup_snapshot_is_a_structured_error() {
-        use rcs_obs::trace::TraceRecorder;
-
         let model = ImmersionModel::skat();
         let obs = Registry::new();
         let mut session =
             WarmupSession::new(&model, Seconds::minutes(10.0), Seconds::new(5.0), &obs).unwrap();
         session.run(17);
-        let bytes = session.checkpoint(&obs, TraceRecorder::disabled());
+        let bytes = session.checkpoint(&obs);
 
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 3] ^= 0x40;
-        assert!(WarmupSession::resume(
-            &model,
-            &flipped,
-            &Registry::new(),
-            TraceRecorder::disabled()
-        )
-        .is_err());
-        assert!(WarmupSession::resume(
-            &model,
-            &bytes[..bytes.len() - 5],
-            &Registry::new(),
-            TraceRecorder::disabled()
-        )
-        .is_err());
+        assert!(WarmupSession::resume(&model, &flipped, &Registry::new()).is_err());
+        assert!(
+            WarmupSession::resume(&model, &bytes[..bytes.len() - 5], &Registry::new()).is_err()
+        );
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! Faulted networks (deeply derated pumps, nearly shut valves) can sit
 //! on much stiffer loss curves than healthy ones, so the solver also
-//! exposes a retry ladder ([`HydraulicNetwork::solve_robust`]): the
+//! exposes a retry ladder ([`HydraulicNetwork::solve_with_ladder`]): the
 //! default settings first, then progressively heavier damping with a
 //! larger iteration budget, and finally a structured
 //! [`ConvergenceDiagnostics`] naming the worst junction and branch if
@@ -33,8 +33,6 @@
 
 use rcs_fluids::FluidState;
 use rcs_numeric::{Matrix, SparseSymbolic};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::{ChannelKind, TraceRecorder};
 use rcs_obs::{residual_decade, Registry};
 use rcs_units::VolumeFlow;
 
@@ -86,9 +84,10 @@ impl SolveOptions {
         Self { relax, max_iter }
     }
 
-    /// The retry ladder used by [`HydraulicNetwork::solve_robust`]:
-    /// default first (bit-identical to [`HydraulicNetwork::solve`] when
-    /// it converges), then two progressively damped re-solves.
+    /// The standard retry ladder for
+    /// [`HydraulicNetwork::solve_with_ladder`]: default first
+    /// (bit-identical to [`HydraulicNetwork::solve`] when it converges),
+    /// then two progressively damped re-solves.
     #[must_use]
     pub fn ladder() -> [Self; 3] {
         [
@@ -160,7 +159,8 @@ struct BranchScatter {
 ///
 /// ```
 /// use rcs_fluids::Coolant;
-/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve};
+/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions};
+/// use rcs_obs::Registry;
 /// use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 ///
 /// let mut net = HydraulicNetwork::new();
@@ -172,9 +172,10 @@ struct BranchScatter {
 ///     Pressure::kilopascals(60.0), VolumeFlow::liters_per_minute(150.0)))])?;
 /// let water = Coolant::water().state(Celsius::new(20.0));
 ///
+/// let (opts, obs) = (SolveOptions::default(), Registry::disabled());
 /// let mut ctx = net.solver_context();
-/// let cold = net.solve_in(&water, &mut ctx)?;
-/// let warm = net.solve_in(&water, &mut ctx)?; // starts from `cold`'s flows
+/// let cold = net.solve_with(&water, &opts, &mut ctx, obs)?;
+/// let warm = net.solve_with(&water, &opts, &mut ctx, obs)?; // starts from `cold`'s flows
 /// assert!(warm.iterations() < cold.iterations());
 /// # Ok::<(), rcs_hydraulics::HydraulicError>(())
 /// ```
@@ -373,7 +374,9 @@ impl HydraulicNetwork {
         SolverContext::build(self, engine, None)
     }
 
-    /// Solves the steady flow distribution for the given fluid state.
+    /// Solves the steady flow distribution for the given fluid state:
+    /// one attempt with the default options through a fresh context,
+    /// unobserved.
     ///
     /// # Errors
     ///
@@ -381,94 +384,31 @@ impl HydraulicNetwork {
     /// does not fall below tolerance, and propagates singular-matrix
     /// failures from degenerate networks.
     pub fn solve(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with(fluid, &SolveOptions::default())
+        self.solve_with(
+            fluid,
+            &SolveOptions::default(),
+            &mut self.solver_context(),
+            Registry::disabled(),
+        )
     }
 
-    /// [`HydraulicNetwork::solve`] through a reusable context: the
-    /// symbolic factorization is shared and, when `ctx` holds a seed
-    /// from a previous success, the solve starts warm.
+    /// One solve attempt with explicit damping/budget options through a
+    /// reusable context: the symbolic factorization is shared and, when
+    /// `ctx` holds a seed from a previous success, the attempt starts
+    /// warm. Telemetry recorded into `obs` — all golden-channel
+    /// integers:
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed_in(fluid, &SolveOptions::default(), ctx, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve`] with telemetry recorded into `obs`
-    /// (see [`HydraulicNetwork::solve_with_observed`] for the counters).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_observed(
-        &self,
-        fluid: &FluidState,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed(fluid, &SolveOptions::default(), obs)
-    }
-
-    /// [`HydraulicNetwork::solve_observed`] through a reusable context.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_observed_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed_in(fluid, &SolveOptions::default(), ctx, obs)
-    }
-
-    /// Solves with explicit damping/budget options.
+    /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
+    /// - `hydraulics.solve.iterations` histogram on success;
+    /// - `hydraulics.solve.residual_decade` histogram of the converged
+    ///   residual's decade;
+    /// - a `hydraulics.warm_starts` work counter when the attempt
+    ///   converged from a warm seed.
     ///
     /// # Errors
     ///
     /// Same contract as [`HydraulicNetwork::solve`].
     pub fn solve_with(
-        &self,
-        fluid: &FluidState,
-        opts: &SolveOptions,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed(fluid, opts, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with`] with telemetry recorded into
-    /// `obs` — all golden-channel integers:
-    ///
-    /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
-    /// - `hydraulics.solve.iterations` histogram on success;
-    /// - `hydraulics.solve.residual_decade` histogram of the converged
-    ///   residual's decade.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_with_observed(
-        &self,
-        fluid: &FluidState,
-        opts: &SolveOptions,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        let mut ctx = self.solver_context();
-        self.solve_with_observed_in(fluid, opts, &mut ctx, obs)
-    }
-
-    /// [`HydraulicNetwork::solve_with_observed`] through a reusable
-    /// context: same telemetry, plus a `hydraulics.warm_starts` work
-    /// counter when the attempt converged from a warm seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_with_observed_in(
         &self,
         fluid: &FluidState,
         opts: &SolveOptions,
@@ -530,89 +470,20 @@ impl HydraulicNetwork {
         obs.work("hydraulics.iter_unknowns", iterations * unknowns);
     }
 
-    /// Solves through the retry ladder: default options first, then two
-    /// progressively damped re-solves; a network that defeats all three
-    /// returns [`HydraulicError::Unsolvable`] with structured
-    /// diagnostics naming the worst junction and branch.
+    /// Solves through a retry ladder ([`SolveOptions::ladder`] is the
+    /// standard one: default options first, then two progressively
+    /// damped re-solves); a network that defeats every rung returns
+    /// [`HydraulicError::Unsolvable`] with structured diagnostics
+    /// naming the worst junction and branch. When the first rung
+    /// converges the result is bit-identical to a single default
+    /// attempt, so healthy networks pay nothing.
     ///
-    /// When the first rung converges the result is bit-identical to
-    /// [`HydraulicNetwork::solve`], so healthy networks pay nothing.
+    /// The rungs share `ctx`'s symbolic factorization; the warm seed
+    /// (if any) feeds the first rung only — a seed that failed to
+    /// converge is discarded, so damped rungs restart cold — and a
+    /// converged rung leaves its flows as the next solve's seed.
     ///
-    /// # Errors
-    ///
-    /// [`HydraulicError::Unsolvable`] after the whole ladder stalls;
-    /// singular-matrix and builder failures propagate immediately.
-    pub fn solve_robust(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder(fluid, &SolveOptions::ladder())
-    }
-
-    /// [`HydraulicNetwork::solve_robust`] through a reusable context.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_robust_observed_in(fluid, ctx, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_robust`] with telemetry recorded into
-    /// `obs` (see [`HydraulicNetwork::solve_with_ladder_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_observed(
-        &self,
-        fluid: &FluidState,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_observed(fluid, &SolveOptions::ladder(), obs)
-    }
-
-    /// [`HydraulicNetwork::solve_robust_observed`] through a reusable
-    /// context: the warm seed (if any) feeds the first rung; later
-    /// rungs restart cold, exactly like the stateless ladder.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_observed_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced_in(
-            fluid,
-            &SolveOptions::ladder(),
-            ctx,
-            obs,
-            TraceRecorder::disabled(),
-        )
-    }
-
-    /// Solves through an explicit retry ladder (see
-    /// [`HydraulicNetwork::solve_robust`] for the default rungs).
-    ///
-    /// # Errors
-    ///
-    /// [`HydraulicError::Unsolvable`] after every rung stalls (or for an
-    /// empty ladder); singular-matrix and builder failures propagate
-    /// immediately.
-    pub fn solve_with_ladder(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_observed(fluid, rungs, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder`] with telemetry recorded
-    /// into `obs` — all golden-channel integers:
+    /// Telemetry recorded into `obs` — all golden-channel integers:
     ///
     /// - `hydraulics.ladder.calls` / `.converged` / `.unsolvable`
     ///   counters;
@@ -626,93 +497,15 @@ impl HydraulicNetwork {
     ///
     /// # Errors
     ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    pub fn solve_with_ladder_observed(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced(fluid, rungs, obs, TraceRecorder::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_robust_observed`] with trace recording:
-    /// see [`HydraulicNetwork::solve_with_ladder_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_traced(
-        &self,
-        fluid: &FluidState,
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced(fluid, &SolveOptions::ladder(), obs, trace)
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_observed`] plus trace
-    /// recording: every rung attempt appends to the
-    /// `hydraulics.ladder.residual` channel (t = rung index, value =
-    /// that rung's final continuity residual), and the converged rung
-    /// appends its iteration count to `hydraulics.ladder.iterations` —
-    /// the trajectory a decimated counter can't show.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    pub fn solve_with_ladder_traced(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        let mut ctx = self.solver_context();
-        self.solve_with_ladder_traced_in(fluid, rungs, &mut ctx, obs, trace)
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_traced`] through a
-    /// reusable context: the symbolic factorization is shared by every
-    /// rung, the warm seed (if any) feeds the first rung only — a seed
-    /// that failed to converge is discarded, so damped rungs restart
-    /// cold exactly like the stateless ladder — and a converged rung
-    /// leaves its flows as the next solve's seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_with_ladder_traced_in(
+    /// [`HydraulicError::Unsolvable`] after every rung stalls (or for an
+    /// empty ladder); singular-matrix and builder failures propagate
+    /// immediately.
+    pub fn solve_with_ladder(
         &self,
         fluid: &FluidState,
         rungs: &[SolveOptions],
         ctx: &mut SolverContext,
         obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_spanned_in(fluid, rungs, ctx, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_traced_in`] plus span
-    /// attribution: the ladder runs inside one `hydraulics.ladder` span
-    /// with one `rung` child per attempt, each bracketing that rung's
-    /// Hardy-Cross iterations — span rollups show which rung of the
-    /// retry ladder burned the solver work. Telemetry on `obs` and
-    /// `trace` is byte-identical to the traced variant.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_with_ladder_spanned_in(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        ctx: &mut SolverContext,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
     ) -> Result<HydraulicSolution, HydraulicError> {
         obs.inc("hydraulics.ladder.calls");
         if rungs.is_empty() {
@@ -720,13 +513,10 @@ impl HydraulicNetwork {
                 parameter: "retry ladder rung count",
             });
         }
-        spans.enter("hydraulics.ladder", obs);
         let mut attempts = Vec::new();
         let mut last_failure: Option<SolveFailure> = None;
         for (rung, opts) in rungs.iter().enumerate() {
-            spans.enter("rung", obs);
-            let attempt = self.solve_inner(fluid, opts, ctx);
-            match attempt {
+            match self.solve_inner(fluid, opts, ctx) {
                 Ok(outcome) => {
                     let solution = outcome.solution;
                     obs.inc("hydraulics.ladder.converged");
@@ -746,31 +536,10 @@ impl HydraulicNetwork {
                     if outcome.warm_started {
                         obs.work("hydraulics.warm_starts", 1);
                     }
-                    spans.exit(obs);
-                    trace.record_named(
-                        "hydraulics.ladder.residual",
-                        ChannelKind::Residual,
-                        rung as f64,
-                        solution.worst_residual_m3s(),
-                    );
-                    trace.record_named(
-                        "hydraulics.ladder.iterations",
-                        ChannelKind::Scalar,
-                        rung as f64,
-                        solution.iterations() as f64,
-                    );
-                    spans.exit(obs);
                     return Ok(solution);
                 }
                 Err(InnerError::Stalled(fail)) => {
                     self.record_solver_work(obs, fail.iterations as u64);
-                    spans.exit(obs);
-                    trace.record_named(
-                        "hydraulics.ladder.residual",
-                        ChannelKind::Residual,
-                        rung as f64,
-                        fail.residual,
-                    );
                     attempts.push(SolveAttempt {
                         relax: opts.relax,
                         max_iter: opts.max_iter,
@@ -780,13 +549,10 @@ impl HydraulicNetwork {
                 }
                 Err(InnerError::Other(err)) => {
                     obs.inc("hydraulics.ladder.error");
-                    spans.exit(obs);
-                    spans.exit(obs);
                     return Err(err);
                 }
             }
         }
-        spans.exit(obs);
         let fail = last_failure.expect("ladder has at least one rung");
         obs.inc("hydraulics.ladder.unsolvable");
         obs.add("hydraulics.ladder.escalations", (rungs.len() - 1) as u64);
@@ -808,9 +574,10 @@ impl HydraulicNetwork {
 
     /// Solves a parameter sweep: `configure` mutates the network for
     /// step `i` (valve trims, branch failures, a new fluid state) and
-    /// each step is solved through the robust ladder with a shared
-    /// context. With `warm = true` every step starts from the previous
-    /// step's solution — the neighboring solve is the cheapest possible
+    /// each step is solved through the standard retry ladder with a
+    /// shared context, its ladder telemetry recorded into `obs`. With
+    /// `warm = true` every step starts from the previous step's
+    /// solution — the neighboring solve is the cheapest possible
     /// starting point — while `warm = false` solves every step cold
     /// (the cross-check the warm path is validated against).
     ///
@@ -818,24 +585,6 @@ impl HydraulicNetwork {
     ///
     /// Propagates the first step's solver failure.
     pub fn solve_sweep<F>(
-        &mut self,
-        steps: usize,
-        warm: bool,
-        configure: F,
-    ) -> Result<Vec<HydraulicSolution>, HydraulicError>
-    where
-        F: FnMut(&mut Self, usize) -> FluidState,
-    {
-        self.solve_sweep_observed(steps, warm, Registry::disabled(), configure)
-    }
-
-    /// [`HydraulicNetwork::solve_sweep`] with every step's ladder
-    /// telemetry recorded into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_sweep`].
-    pub fn solve_sweep_observed<F>(
         &mut self,
         steps: usize,
         warm: bool,
@@ -852,7 +601,7 @@ impl HydraulicNetwork {
             if !warm {
                 ctx.clear_seed();
             }
-            out.push(self.solve_robust_observed_in(&fluid, &mut ctx, obs)?);
+            out.push(self.solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, obs)?);
         }
         Ok(out)
     }
@@ -1106,6 +855,28 @@ mod tests {
         Coolant::water().state(Celsius::new(20.0))
     }
 
+    /// One default attempt through `ctx`, unobserved.
+    fn solve_in(
+        net: &HydraulicNetwork,
+        ctx: &mut SolverContext,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        net.solve_with(
+            &water(),
+            &SolveOptions::default(),
+            ctx,
+            Registry::disabled(),
+        )
+    }
+
+    /// A ladder solve through a fresh context, recorded into `obs`.
+    fn ladder(
+        net: &HydraulicNetwork,
+        rungs: &[SolveOptions],
+        obs: &Registry,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        net.solve_with_ladder(&water(), rungs, &mut net.solver_context(), obs)
+    }
+
     fn pipe(len_m: f64) -> Element {
         Element::Pipe(Pipe::smooth(
             Length::from_meters(len_m),
@@ -1272,7 +1043,7 @@ mod tests {
         let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
         net.add_branch("pump", r, s, vec![pump()]).unwrap();
         let plain = net.solve(&water()).unwrap();
-        let robust = net.solve_robust(&water()).unwrap();
+        let robust = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
         for b in [b1, b2] {
             assert_eq!(
                 plain.flow(b).cubic_meters_per_second(),
@@ -1291,13 +1062,21 @@ mod tests {
         // One-iteration budget cannot converge...
         let starved = SolveOptions::damped(0.7, 1);
         assert!(matches!(
-            net.solve_with(&water(), &starved),
+            net.solve_with(
+                &water(),
+                &starved,
+                &mut net.solver_context(),
+                Registry::disabled()
+            ),
             Err(HydraulicError::NoConvergence { iterations: 1, .. })
         ));
         // ...but a ladder whose later rung has a real budget succeeds.
-        let sol = net
-            .solve_with_ladder(&water(), &[starved, SolveOptions::default()])
-            .unwrap();
+        let sol = ladder(
+            &net,
+            &[starved, SolveOptions::default()],
+            Registry::disabled(),
+        )
+        .unwrap();
         assert!(sol.flows()[0].as_liters_per_minute() > 50.0);
     }
 
@@ -1309,7 +1088,7 @@ mod tests {
         net.add_branch("loop pipe", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("bath pump", b, a, vec![pump()]).unwrap();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let err = net.solve_with_ladder(&water(), &rungs).unwrap_err();
+        let err = ladder(&net, &rungs, Registry::disabled()).unwrap_err();
         let HydraulicError::Unsolvable { diagnostics } = err else {
             panic!("expected Unsolvable, got {err:?}");
         };
@@ -1330,7 +1109,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         assert!(matches!(
-            net.solve_with_ladder(&water(), &[]),
+            ladder(&net, &[], Registry::disabled()),
             Err(HydraulicError::NonPositiveParameter { .. })
         ));
     }
@@ -1343,7 +1122,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let sol = net.solve_robust_observed(&water(), &obs).unwrap();
+        let sol = ladder(&net, &SolveOptions::ladder(), &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.calls"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 1);
@@ -1366,8 +1145,7 @@ mod tests {
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
-        net.solve_with_ladder_observed(&water(), &rungs, &obs)
-            .unwrap();
+        ladder(&net, &rungs, &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.escalations"), 1);
         let rung = snap.histogram("hydraulics.ladder.rung").unwrap();
@@ -1383,9 +1161,7 @@ mod tests {
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let _ = net
-            .solve_with_ladder_observed(&water(), &rungs, &obs)
-            .unwrap_err();
+        let _ = ladder(&net, &rungs, &obs).unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 0);
         assert_eq!(snap.counter("hydraulics.ladder.unsolvable"), 1);
@@ -1401,9 +1177,11 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        net.solve_observed(&water(), &obs).unwrap();
+        let mut ctx = net.solver_context();
+        net.solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
+            .unwrap();
         let _ = net
-            .solve_with_observed(&water(), &SolveOptions::damped(0.7, 1), &obs)
+            .solve_with(&water(), &SolveOptions::damped(0.7, 1), &mut ctx, &obs)
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.solve.calls"), 2);
@@ -1415,26 +1193,6 @@ mod tests {
             1,
             "only the converged attempt records a residual"
         );
-    }
-
-    #[test]
-    fn observed_and_plain_solves_produce_identical_solutions() {
-        let mut net = HydraulicNetwork::new();
-        let s = net.add_junction("supply");
-        let r = net.add_junction("return");
-        let b1 = net.add_branch("short", s, r, vec![pipe(5.0)]).unwrap();
-        let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
-        net.add_branch("pump", r, s, vec![pump()]).unwrap();
-        let obs = Registry::new();
-        let plain = net.solve_robust(&water()).unwrap();
-        let observed = net.solve_robust_observed(&water(), &obs).unwrap();
-        for b in [b1, b2] {
-            assert_eq!(
-                plain.flow(b).cubic_meters_per_second(),
-                observed.flow(b).cubic_meters_per_second()
-            );
-        }
-        assert_eq!(plain.iterations(), observed.iterations());
     }
 
     #[test]
@@ -1479,8 +1237,8 @@ mod tests {
         let (net, ids) = branched_net();
         let mut sparse = net.solver_context_with(SolverEngine::Sparse);
         let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = net.solve_in(&water(), &mut sparse).unwrap();
-        let d = net.solve_in(&water(), &mut dense).unwrap();
+        let s = solve_in(&net, &mut sparse).unwrap();
+        let d = solve_in(&net, &mut dense).unwrap();
         assert_eq!(s.iterations(), d.iterations());
         for &b in &ids {
             assert_eq!(
@@ -1499,7 +1257,7 @@ mod tests {
         let (net, ids) = branched_net();
         let stateless = net.solve(&water()).unwrap();
         let mut ctx = net.solver_context();
-        let via_ctx = net.solve_in(&water(), &mut ctx).unwrap();
+        let via_ctx = solve_in(&net, &mut ctx).unwrap();
         assert_eq!(stateless.iterations(), via_ctx.iterations());
         for &b in &ids {
             assert_eq!(
@@ -1513,9 +1271,9 @@ mod tests {
     fn warm_start_converges_faster_to_the_same_solution() {
         let (net, ids) = branched_net();
         let mut ctx = net.solver_context();
-        let cold = net.solve_in(&water(), &mut ctx).unwrap();
+        let cold = solve_in(&net, &mut ctx).unwrap();
         assert!(ctx.is_warm());
-        let warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let warm = solve_in(&net, &mut ctx).unwrap();
         assert!(
             warm.iterations() < cold.iterations(),
             "warm {} vs cold {}",
@@ -1536,15 +1294,15 @@ mod tests {
     fn context_survives_valve_retrims_and_rebuilds_on_openness_change() {
         let (mut net, ids) = branched_net();
         let mut ctx = net.solver_context();
-        net.solve_in(&water(), &mut ctx).unwrap();
+        solve_in(&net, &mut ctx).unwrap();
         // a valve trim keeps the topology: the context stays warm
         net.set_valve_opening(ids[1], 0.4).unwrap();
-        let trimmed = net.solve_in(&water(), &mut ctx).unwrap();
+        let trimmed = solve_in(&net, &mut ctx).unwrap();
         // closing a branch changes the incidence: the plan is rebuilt
         // (keeping the neighboring seed) and the result matches a
         // from-scratch solve of the same network within tolerance
         net.set_branch_open(ids[1], false).unwrap();
-        let failed_warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let failed_warm = solve_in(&net, &mut ctx).unwrap();
         let failed_cold = net.solve(&water()).unwrap();
         assert_eq!(failed_warm.flow(ids[1]).cubic_meters_per_second(), 0.0);
         for &b in &ids {
@@ -1559,16 +1317,16 @@ mod tests {
     fn failed_attempt_discards_the_seed() {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
-        net.solve_in(&water(), &mut ctx).unwrap();
+        solve_in(&net, &mut ctx).unwrap();
         assert!(ctx.is_warm());
         // a starved warm attempt fails and must not leave a stale seed
         let starved = SolveOptions::damped(0.7, 1);
         let _ = net
-            .solve_with_observed_in(&water(), &starved, &mut ctx, Registry::disabled())
+            .solve_with(&water(), &starved, &mut ctx, Registry::disabled())
             .unwrap_err();
         assert!(!ctx.is_warm(), "failed attempts must clear the seed");
         // the next solve is cold and matches the stateless path bitwise
-        let recovered = net.solve_in(&water(), &mut ctx).unwrap();
+        let recovered = solve_in(&net, &mut ctx).unwrap();
         let stateless = net.solve(&water()).unwrap();
         assert_eq!(recovered.iterations(), stateless.iterations());
     }
@@ -1578,9 +1336,9 @@ mod tests {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
         let obs = Registry::new();
-        net.solve_robust_observed_in(&water(), &mut ctx, &obs)
+        net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs)
             .unwrap();
-        net.solve_robust_observed_in(&water(), &mut ctx, &obs)
+        net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs)
             .unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 2);
@@ -1598,7 +1356,7 @@ mod tests {
         let sweep = |warm: bool| {
             let mut n = net.clone();
             let valve = ids[1];
-            n.solve_sweep(openings.len(), warm, |net, i| {
+            n.solve_sweep(openings.len(), warm, Registry::disabled(), |net, i| {
                 net.set_valve_opening(valve, openings[i]).unwrap();
                 water()
             })
@@ -1631,8 +1389,8 @@ mod tests {
         let (net, ids) = branched_net();
         let chain = || {
             let mut ctx = net.solver_context();
-            let _ = net.solve_in(&water(), &mut ctx).unwrap();
-            net.solve_in(&water(), &mut ctx).unwrap()
+            let _ = solve_in(&net, &mut ctx).unwrap();
+            solve_in(&net, &mut ctx).unwrap()
         };
         let a = chain();
         let b = chain();
@@ -1660,8 +1418,8 @@ mod tests {
         net.set_branch_open(spur, false).unwrap();
         let mut sparse = net.solver_context_with(SolverEngine::Sparse);
         let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = net.solve_in(&water(), &mut sparse).unwrap();
-        let d = net.solve_in(&water(), &mut dense).unwrap();
+        let s = solve_in(&net, &mut sparse).unwrap();
+        let d = solve_in(&net, &mut dense).unwrap();
         for j in [stranded, spur_end] {
             assert_eq!(s.pressure(j).pascals(), 0.0);
             assert_eq!(d.pressure(j).pascals(), 0.0);

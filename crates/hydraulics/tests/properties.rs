@@ -178,7 +178,8 @@ fn cold_oil_flows_less_than_warm_oil() {
 /// engines identically.
 #[test]
 fn sparse_and_dense_agree_under_random_branch_outages() {
-    use rcs_hydraulics::SolverEngine;
+    use rcs_hydraulics::{SolveOptions, SolverEngine};
+    use rcs_obs::Registry;
     check_cases(
         "sparse_and_dense_agree_under_random_branch_outages",
         64,
@@ -249,8 +250,10 @@ fn sparse_and_dense_agree_under_random_branch_outages() {
 
             let mut sparse = net.solver_context_with(SolverEngine::Sparse);
             let mut dense = net.solver_context_with(SolverEngine::Dense);
-            let s = net.solve_in(&water(), &mut sparse).unwrap();
-            let d = net.solve_in(&water(), &mut dense).unwrap();
+            let opts = SolveOptions::default();
+            let obs = Registry::disabled();
+            let s = net.solve_with(&water(), &opts, &mut sparse, obs).unwrap();
+            let d = net.solve_with(&water(), &opts, &mut dense, obs).unwrap();
             assert_eq!(s.iterations(), d.iterations());
             for (k, (qs, qd)) in s.flows().iter().zip(d.flows()).enumerate() {
                 let (qs, qd) = (qs.cubic_meters_per_second(), qd.cubic_meters_per_second());

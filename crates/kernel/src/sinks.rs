@@ -4,10 +4,11 @@
 //! *telemetry* state: every golden counter, histogram bucket, trace
 //! sample and span-tree node recorded so far, plus each trace channel's
 //! decimation cursor (stride and push count) and the span sink's
-//! **open-span stack**. Restoring into a **fresh** [`Registry`],
-//! [`TraceRecorder`] and [`SpanSink`] then reproduces, bitwise, the
-//! sinks a straight uninterrupted run would have produced — including
-//! spans that were still open when the checkpoint was taken.
+//! **open-span stack**. Restoring into a **fresh** [`Registry`] (with
+//! the same trace recorder and span sink switched on) then reproduces,
+//! bitwise, the sinks a straight uninterrupted run would have produced
+//! — including spans that were still open when the checkpoint was
+//! taken.
 //!
 //! One obs channel is deliberately *not* captured: notes. Notes are
 //! non-golden by design (wall-clock, worker counts), excluded from
@@ -19,17 +20,16 @@
 //! disabled sink is a silent no-op, because a straight run against a
 //! disabled sink records nothing either.
 
-use rcs_obs::span::{Frame, SpanNode, SpanSink, SpanState};
-use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceRecorder, TraceSnapshot};
+use rcs_obs::span::{Frame, SpanNode, SpanState};
+use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceSnapshot};
 use rcs_obs::{FHistogramSnapshot, HistogramSnapshot, Registry, Snapshot};
 
 use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 
 /// Captured state of one run's observability sinks: the golden
-/// [`Registry`] snapshot plus the full [`TraceRecorder`] state
-/// (channels, samples, decimation cursors, capacity, enablement) plus
-/// the full [`SpanSink`] state (closed tree, elision summaries, open
-/// stack).
+/// [`Registry`] snapshot plus the full trace-recorder state (channels,
+/// samples, decimation cursors, capacity, enablement) plus the full
+/// span-sink state (closed tree, elision summaries, open stack).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkState {
     /// Golden counters / histograms at capture time.
@@ -47,47 +47,30 @@ pub struct SinkState {
 }
 
 impl SinkState {
-    /// Captures the current state of `obs` and `trace` (no span sink —
-    /// the span state stays empty). Prefer
-    /// [`SinkState::capture_spanned`] on span-aware paths.
+    /// Captures the current state of `obs` and of the trace recorder
+    /// and span sink riding on it — including the span sink's open
+    /// stack, so a span that brackets the checkpoint closes correctly
+    /// on the restored sink. A sink that is off captures empty.
     #[must_use]
-    pub fn capture(obs: &Registry, trace: &TraceRecorder) -> Self {
-        Self::capture_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// Captures the current state of `obs`, `trace` and `spans` —
-    /// including the span sink's open stack, so a span that brackets
-    /// the checkpoint closes correctly on the restored sink.
-    #[must_use]
-    pub fn capture_spanned(obs: &Registry, trace: &TraceRecorder, spans: &SpanSink) -> Self {
+    pub fn capture(obs: &Registry) -> Self {
+        let trace = obs.trace();
         Self {
             obs: obs.snapshot(),
             trace: trace.snapshot(),
             trace_capacity: trace.capacity(),
             trace_enabled: trace.is_enabled(),
-            spans: spans.snapshot(),
+            spans: obs.spans().snapshot(),
         }
     }
 
-    /// [`SinkState::restore_spanned`] without a span sink (the captured
-    /// span state, if any, is dropped — matching a straight run whose
-    /// span sink is disabled).
+    /// Restores the captured state into a **fresh** `obs`: golden
+    /// counters are absorbed (exact additive merge into an empty
+    /// registry is an exact restore), trace channels are installed
+    /// verbatim, cursors included, and the span tree — open stack and
+    /// all — is installed wholesale.
     ///
-    /// # Errors
-    ///
-    /// See [`SinkState::restore_spanned`].
-    pub fn restore(&self, obs: &Registry, trace: &TraceRecorder) -> Result<(), SnapshotError> {
-        self.restore_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// Restores the captured state into **fresh** sinks: golden
-    /// counters are absorbed (exact additive merge into empty sinks is
-    /// an exact restore), trace channels are installed verbatim,
-    /// cursors included, and the span tree — open stack and all — is
-    /// installed wholesale.
-    ///
-    /// A disabled target sink is skipped silently — that matches what a
-    /// straight-through run against the same disabled sink records.
+    /// A sink that is off on `obs` is skipped silently — that matches
+    /// what a straight-through run against the same registry records.
     ///
     /// # Errors
     ///
@@ -95,13 +78,9 @@ impl SinkState {
     /// with a different capacity than the captured one: future
     /// decimation would then diverge from the uninterrupted run, which
     /// breaks the resume-equivalence contract.
-    pub fn restore_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<(), SnapshotError> {
+    pub fn restore(&self, obs: &Registry) -> Result<(), SnapshotError> {
         obs.absorb(&self.obs);
+        let trace = obs.trace();
         if trace.is_enabled() {
             if self.trace_enabled && trace.capacity() != self.trace_capacity {
                 return Err(SnapshotError::Malformed(format!(
@@ -112,7 +91,7 @@ impl SinkState {
             }
             trace.restore_channels(&self.trace);
         }
-        spans.restore(&self.spans);
+        obs.spans().restore(&self.spans);
         Ok(())
     }
 
@@ -350,40 +329,44 @@ impl SinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::span::SpanSink;
+    use rcs_obs::trace::TraceRecorder;
 
-    fn busy_sinks() -> (Registry, TraceRecorder) {
-        let obs = Registry::new();
+    /// A fresh registry with a capacity-`capacity` trace and a fan-out-2
+    /// span sink.
+    fn sinks(capacity: usize) -> Registry {
+        Registry::new()
+            .with_trace(TraceRecorder::with_capacity(capacity))
+            .with_spans(SpanSink::with_fanout(2))
+    }
+
+    fn busy_sinks() -> Registry {
+        let obs = sinks(8);
         obs.inc("kernel.test.runs");
         obs.add("kernel.test.items", 41);
         obs.record_histogram("kernel.test.sizes", &[2, 4, 8], 5);
         obs.record_histogram("kernel.test.sizes", &[2, 4, 8], 3);
         obs.record_histogram_f64("kernel.test.temps", &[10.0, 20.0], 14.25);
-        let trace = TraceRecorder::with_capacity(8);
+        let trace = obs.trace();
         let ch = trace.channel("kernel.test.temp", ChannelKind::Temperature);
         for i in 0..37 {
             trace.record(ch, f64::from(i) * 0.5, 20.0 + f64::from(i));
         }
-        (obs, trace)
-    }
-
-    fn busy_spans(obs: &Registry) -> SpanSink {
-        let spans = SpanSink::with_fanout(2);
-        spans.enter("session", obs);
+        obs.enter("session");
         obs.work("kernel.test.work", 6);
         for _ in 0..4 {
-            spans.enter("step", obs);
+            obs.enter("step");
             obs.work("kernel.test.work", 2);
-            spans.exit(obs);
+            obs.exit();
         }
         // leave "session" open: checkpoints happen mid-span
-        spans
+        obs
     }
 
     #[test]
     fn capture_serialize_restore_is_bitwise() {
-        let (obs, trace) = busy_sinks();
-        let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let obs = busy_sinks();
+        let state = SinkState::capture(&obs);
         assert_eq!(state.spans.stack.len(), 1, "mid-span checkpoint");
 
         let mut w = SnapWriter::new();
@@ -394,79 +377,69 @@ mod tests {
         assert!(r.is_exhausted());
         assert_eq!(decoded, state);
 
-        let obs2 = Registry::new();
-        let trace2 = TraceRecorder::with_capacity(8);
-        let spans2 = SpanSink::with_fanout(2);
-        decoded.restore_spanned(&obs2, &trace2, &spans2).unwrap();
+        let obs2 = sinks(8);
+        decoded.restore(&obs2).unwrap();
         assert_eq!(obs2.snapshot(), obs.snapshot());
         assert_eq!(obs2.work_units(), obs.work_units());
-        assert_eq!(trace2.snapshot(), trace.snapshot());
-        assert_eq!(spans2.snapshot(), spans.snapshot());
+        assert_eq!(obs2.trace().snapshot(), obs.trace().snapshot());
+        assert_eq!(obs2.spans().snapshot(), obs.spans().snapshot());
 
         // The restored recorder decimates exactly like the original on
-        // further pushes — the cursor survived the round trip.
-        let ch1 = trace.channel("kernel.test.temp", ChannelKind::Temperature);
-        let ch2 = trace2.channel("kernel.test.temp", ChannelKind::Temperature);
-        for i in 37..200 {
-            trace.record(ch1, f64::from(i) * 0.5, 20.0 + f64::from(i));
-            trace2.record(ch2, f64::from(i) * 0.5, 20.0 + f64::from(i));
-        }
-        assert_eq!(trace2.snapshot(), trace.snapshot());
-
-        // The restored span sink continues the open span exactly like
-        // the original: same work, same elision decisions, same exit.
-        for (o, s) in [(&obs, &spans), (&obs2, &spans2)] {
-            s.enter("step", o);
+        // further pushes — the cursor survived the round trip — and the
+        // restored span sink continues the open span exactly like the
+        // original: same work, same elision decisions, same exit.
+        for o in [&obs, &obs2] {
+            let ch = o
+                .trace()
+                .channel("kernel.test.temp", ChannelKind::Temperature);
+            for i in 37..200 {
+                o.trace()
+                    .record(ch, f64::from(i) * 0.5, 20.0 + f64::from(i));
+            }
+            o.enter("step");
             o.work("kernel.test.work", 3);
-            s.exit(o);
-            s.exit(o);
+            o.exit();
+            o.exit();
         }
-        assert_eq!(spans2.snapshot(), spans.snapshot());
-        assert!(spans.snapshot().stack.is_empty());
+        assert_eq!(obs2.trace().snapshot(), obs.trace().snapshot());
+        assert_eq!(obs2.spans().snapshot(), obs.spans().snapshot());
+        assert!(obs.spans().snapshot().stack.is_empty());
     }
 
     #[test]
-    fn legacy_capture_restore_keeps_spans_empty() {
-        let (obs, trace) = busy_sinks();
-        let state = SinkState::capture(&obs, &trace);
+    fn capture_without_spans_keeps_spans_empty() {
+        let obs = Registry::new().with_trace(TraceRecorder::with_capacity(8));
+        obs.inc("kernel.test.runs");
+        obs.enter("invisible");
+        let state = SinkState::capture(&obs);
         assert!(state.spans.is_empty());
-        let obs2 = Registry::new();
-        let trace2 = TraceRecorder::with_capacity(8);
-        state.restore(&obs2, &trace2).unwrap();
+        let obs2 = Registry::new().with_trace(TraceRecorder::with_capacity(8));
+        state.restore(&obs2).unwrap();
         assert_eq!(obs2.snapshot(), obs.snapshot());
     }
 
     #[test]
     fn restore_into_disabled_sinks_is_a_silent_noop() {
-        let (obs, trace) = busy_sinks();
-        let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let state = SinkState::capture(&busy_sinks());
         let obs2 = Registry::disabled();
-        let trace2 = TraceRecorder::disabled();
-        let spans2 = SpanSink::disabled();
-        state.restore_spanned(obs2, trace2, spans2).unwrap();
+        state.restore(obs2).unwrap();
         assert!(obs2.snapshot().counters.is_empty());
-        assert!(trace2.snapshot().is_empty());
-        assert!(spans2.snapshot().is_empty());
+        assert!(obs2.trace().snapshot().is_empty());
+        assert!(obs2.spans().snapshot().is_empty());
     }
 
     #[test]
     fn capacity_mismatch_is_a_structured_error() {
-        let (obs, trace) = busy_sinks();
-        let state = SinkState::capture(&obs, &trace);
-        let obs2 = Registry::new();
-        let trace2 = TraceRecorder::with_capacity(16);
+        let state = SinkState::capture(&busy_sinks());
         assert!(matches!(
-            state.restore(&obs2, &trace2),
+            state.restore(&sinks(16)),
             Err(SnapshotError::Malformed(_))
         ));
     }
 
     #[test]
     fn truncated_sink_bytes_decode_to_an_error() {
-        let (obs, trace) = busy_sinks();
-        let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let state = SinkState::capture(&busy_sinks());
         let mut w = SnapWriter::new();
         state.write_into(&mut w);
         let bytes = w.into_bytes();
@@ -478,11 +451,10 @@ mod tests {
 
     #[test]
     fn out_of_range_span_index_is_rejected() {
-        let (obs, trace) = busy_sinks();
-        let spans = SpanSink::new();
-        spans.enter("only", &obs);
-        spans.exit(&obs);
-        let mut state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let obs = sinks(8);
+        obs.enter("only");
+        obs.exit();
+        let mut state = SinkState::capture(&obs);
         state.spans.roots = vec![7]; // node 7 does not exist
         let mut w = SnapWriter::new();
         state.write_into(&mut w);

@@ -98,6 +98,11 @@ fn assert_traces_bitwise(
     }
 }
 
+/// A fresh registry recording counters and a trace.
+fn traced() -> Registry {
+    Registry::new().with_trace(TraceRecorder::new())
+}
+
 /// Bit-compares two `(time, temperature)` series.
 fn assert_series_bitwise(a: &[(Seconds, Celsius)], b: &[(Seconds, Celsius)], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: sample counts differ");
@@ -123,25 +128,21 @@ fn transient_resume_is_bitwise_for_random_networks_and_splits() {
         let duration = Seconds::new(g.draw(0.5..120.0));
         let max_step = Seconds::new(g.draw(0.05..5.0));
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
+        let obs_ref = traced();
         let mut straight =
             TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
         straight.run(&net, u64::MAX);
         let reference = straight.finish_observed(&net, &obs_ref);
 
         let k = g.draw(0u64..=reference.len() as u64 + 1);
-        let obs_a = Registry::new();
-        let trace_a = TraceRecorder::new();
+        let obs_a = traced();
         let mut session =
             TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
         session.run(&net, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let bytes = session.checkpoint(&obs_a);
 
-        let obs_b = Registry::new();
-        let trace_b = TraceRecorder::new();
-        let mut resumed =
-            TransientSession::resume(&net, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+        let obs_b = traced();
+        let mut resumed = TransientSession::resume(&net, &bytes, &obs_b).expect("snapshot opens");
         resumed.run(&net, u64::MAX);
         assert!(resumed.is_finished());
         let finished = resumed.finish_observed(&net, &obs_b);
@@ -153,8 +154,8 @@ fn transient_resume_is_bitwise_for_random_networks_and_splits() {
             "counters at split {k}"
         );
         assert_eq!(
-            trace_b.snapshot(),
-            trace_ref.snapshot(),
+            obs_b.trace().snapshot(),
+            obs_ref.trace().snapshot(),
             "traces at split {k}"
         );
     });
@@ -200,44 +201,29 @@ fn drill_resume_is_bitwise_even_mid_chaos() {
         let supervised = g.bool(0.7);
         let seed = g.draw(0u64..=u64::MAX - 1);
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
-        let mut straight = match DrillSession::new(
-            &drill,
-            Rng::seed_from_u64(seed),
-            supervised,
-            &obs_ref,
-            &trace_ref,
-        ) {
-            Ok(s) => s,
-            // A baseline solve failure is a legal early exit, not a
-            // roundtrip scenario.
-            Err(_) => return,
-        };
-        straight.run(&drill, &obs_ref, &trace_ref, u64::MAX);
+        let obs_ref = traced();
+        let mut straight =
+            match DrillSession::new(&drill, Rng::seed_from_u64(seed), supervised, &obs_ref) {
+                Ok(s) => s,
+                // A baseline solve failure is a legal early exit, not a
+                // roundtrip scenario.
+                Err(_) => return,
+            };
+        straight.run(&drill, &obs_ref, u64::MAX);
         let (reference, rng_ref) = straight.finish(&obs_ref);
 
         // Splits inside the horizon, biased so some land after fault
         // onset (mid-chaos) and some at the endpoints.
         let k = g.draw(0u64..=reference.steps as u64 + 1);
-        let obs_a = Registry::new();
-        let trace_a = TraceRecorder::new();
-        let mut session = DrillSession::new(
-            &drill,
-            Rng::seed_from_u64(seed),
-            supervised,
-            &obs_a,
-            &trace_a,
-        )
-        .expect("baseline solved above");
-        session.run(&drill, &obs_a, &trace_a, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let obs_a = traced();
+        let mut session = DrillSession::new(&drill, Rng::seed_from_u64(seed), supervised, &obs_a)
+            .expect("baseline solved above");
+        session.run(&drill, &obs_a, k);
+        let bytes = session.checkpoint(&obs_a);
 
-        let obs_b = Registry::new();
-        let trace_b = TraceRecorder::new();
-        let mut resumed =
-            DrillSession::resume(&drill, &bytes, &obs_b, &trace_b).expect("snapshot opens");
-        resumed.run(&drill, &obs_b, &trace_b, u64::MAX);
+        let obs_b = traced();
+        let mut resumed = DrillSession::resume(&drill, &bytes, &obs_b).expect("snapshot opens");
+        resumed.run(&drill, &obs_b, u64::MAX);
         let (outcome, rng_b) = resumed.finish(&obs_b);
 
         assert_eq!(outcome, reference, "outcome diverged at split {k}");
@@ -247,8 +233,8 @@ fn drill_resume_is_bitwise_even_mid_chaos() {
             "counters at split {k}"
         );
         assert_eq!(
-            trace_b.snapshot(),
-            trace_ref.snapshot(),
+            obs_b.trace().snapshot(),
+            obs_ref.trace().snapshot(),
             "traces at split {k}"
         );
         assert_eq!(rng_b.state(), rng_ref.state(), "rng stream at split {k}");
@@ -267,28 +253,24 @@ fn warmup_resume_is_bitwise_for_random_operating_points() {
         let duration = Seconds::new(g.draw(60.0..600.0));
         let step = Seconds::new(g.draw(1.0..10.0));
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
+        let obs_ref = traced();
         let mut straight =
             WarmupSession::new(&model, duration, step, &obs_ref).expect("model warms up");
         straight.run(u64::MAX);
-        let reference = straight.finish(&obs_ref, &trace_ref);
+        let reference = straight.finish(&obs_ref);
 
         let k = g.draw(0u64..=reference.trace().len() as u64 + 1);
-        let obs_a = Registry::new();
-        let trace_a = TraceRecorder::new();
+        let obs_a = traced();
         let mut session =
             WarmupSession::new(&model, duration, step, &obs_a).expect("model warms up");
         session.run(k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let bytes = session.checkpoint(&obs_a);
 
-        let obs_b = Registry::new();
-        let trace_b = TraceRecorder::new();
-        let mut resumed =
-            WarmupSession::resume(&model, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+        let obs_b = traced();
+        let mut resumed = WarmupSession::resume(&model, &bytes, &obs_b).expect("snapshot opens");
         resumed.run(u64::MAX);
         assert!(resumed.is_finished());
-        let finished = resumed.finish(&obs_b, &trace_b);
+        let finished = resumed.finish(&obs_b);
 
         assert_series_bitwise(&reference.chip_series(), &finished.chip_series(), "chip");
         assert_series_bitwise(&reference.bath_series(), &finished.bath_series(), "bath");
@@ -308,8 +290,8 @@ fn warmup_resume_is_bitwise_for_random_operating_points() {
             "counters at split {k}"
         );
         assert_eq!(
-            trace_b.snapshot(),
-            trace_ref.snapshot(),
+            obs_b.trace().snapshot(),
+            obs_ref.trace().snapshot(),
             "traces at split {k}"
         );
     });
@@ -333,26 +315,22 @@ fn mc_resume_is_bitwise_even_across_thread_counts() {
         let threads_a = g.draw(1usize..=4);
         let threads_b = g.draw(1usize..=4);
 
-        let obs_ref = Registry::new();
-        let trace_ref = TraceRecorder::new();
-        let reference = availability::monte_carlo_traced(
-            &classes, horizon, trials, seed, threads_a, &obs_ref, &trace_ref,
+        let obs_ref = traced();
+        let reference = availability::monte_carlo_observed(
+            &classes, horizon, trials, seed, threads_a, &obs_ref,
         );
 
         // Split at a random chunk boundary, then resume at a (possibly)
         // different worker count: the report must not notice.
-        let obs_a = Registry::new();
-        let trace_a = TraceRecorder::new();
+        let obs_a = traced();
         let mut session = McSession::new(horizon, trials, seed, threads_a, &obs_a);
         let k = g.draw(0u64..=trials as u64 / 64 + 2);
-        session.advance(&classes, &obs_a, &trace_a, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        session.advance(&classes, &obs_a, k);
+        let bytes = session.checkpoint(&obs_a);
 
-        let obs_b = Registry::new();
-        let trace_b = TraceRecorder::new();
-        let mut resumed =
-            McSession::resume(&bytes, threads_b, &obs_b, &trace_b).expect("snapshot opens");
-        while resumed.advance(&classes, &obs_b, &trace_b, u64::MAX) > 0 {}
+        let obs_b = traced();
+        let mut resumed = McSession::resume(&bytes, threads_b, &obs_b).expect("snapshot opens");
+        while resumed.advance(&classes, &obs_b, u64::MAX) > 0 {}
         let report = resumed.finish();
 
         assert_eq!(
@@ -365,8 +343,8 @@ fn mc_resume_is_bitwise_even_across_thread_counts() {
             "counters at split {k}"
         );
         assert_eq!(
-            trace_b.snapshot(),
-            trace_ref.snapshot(),
+            obs_b.trace().snapshot(),
+            obs_ref.trace().snapshot(),
             "traces at split {k}"
         );
     });
@@ -378,7 +356,6 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         let (net, _nodes) = random_network(g);
         let initial = net.uniform_initial(Celsius::new(25.0));
         let obs = Registry::new();
-        let trace = TraceRecorder::new();
         let mut session = TransientSession::new(
             &net,
             &initial,
@@ -387,16 +364,10 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         )
         .expect("valid problem");
         session.run(&net, g.draw(0u64..=16));
-        let bytes = session.checkpoint(&obs, &trace);
+        let bytes = session.checkpoint(&obs);
 
         // Sanity: the pristine bytes do open.
-        assert!(TransientSession::resume(
-            &net,
-            &bytes,
-            Registry::disabled(),
-            TraceRecorder::disabled()
-        )
-        .is_ok());
+        assert!(TransientSession::resume(&net, &bytes, Registry::disabled()).is_ok());
 
         // A wrong-kind open is rejected before any payload decoding.
         assert!(matches!(
@@ -406,26 +377,16 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
 
         // Truncation at a random point: structured error, never panic.
         let cut = g.index(bytes.len());
-        let err = TransientSession::resume(
-            &net,
-            &bytes[..cut],
-            Registry::disabled(),
-            TraceRecorder::disabled(),
-        )
-        .expect_err("truncated bytes must not decode");
+        let err = TransientSession::resume(&net, &bytes[..cut], Registry::disabled())
+            .expect_err("truncated bytes must not decode");
         let _ = err.to_string(); // Display is total too.
 
         // A single flipped bit anywhere: structured error, never panic.
         let mut corrupt = bytes.clone();
         let at = g.index(corrupt.len());
         corrupt[at] ^= 1 << g.index(8);
-        let err = TransientSession::resume(
-            &net,
-            &corrupt,
-            Registry::disabled(),
-            TraceRecorder::disabled(),
-        )
-        .expect_err("corrupted bytes must not decode");
+        let err = TransientSession::resume(&net, &corrupt, Registry::disabled())
+            .expect_err("corrupted bytes must not decode");
         let _ = err.to_string();
     });
 }

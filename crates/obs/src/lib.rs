@@ -12,19 +12,30 @@
 //!   observations (iteration counts, damping-rung indices, rejection
 //!   counts, residual decades). Everything here must be **bit-identical
 //!   at every thread count**: counter merges are integer additions,
-//!   which commute, and parallel stages collect per-task snapshots and
-//!   [`Registry::absorb`] them in **input order**, so scheduling can
-//!   never reorder an observable. [`Registry::snapshot`] captures only
-//!   this channel, and the counter-asserting regression tests compare
-//!   snapshots directly.
-//! - the **non-golden channel** — wall-clock [`Span`] durations and
-//!   scheduling-dependent [`Registry::note`] gauges (worker counts,
-//!   per-worker task tallies). These appear in the run manifest for
-//!   operators but are excluded from [`Snapshot`] equality and from the
-//!   CI counter diff, because they legitimately vary run to run.
+//!   which commute, and parallel stages collect per-task shards and
+//!   [`Registry::absorb_shard`] them in **input order**, so scheduling
+//!   can never reorder an observable. [`Registry::snapshot`] captures
+//!   only this channel, and the counter-asserting regression tests
+//!   compare snapshots directly.
+//! - the **non-golden channel** — scheduling-dependent
+//!   [`Registry::note`] gauges (worker counts, per-worker task
+//!   tallies). These appear in the run manifest for operators but are
+//!   excluded from [`Snapshot`] equality and from the CI counter diff,
+//!   because they legitimately vary run to run.
 //!
-//! A [`Span`] straddles both: its *count* is golden (how many times the
-//! scope ran is deterministic), its *duration* is not.
+//! # One telemetry context
+//!
+//! A [`Registry`] is the only thing instrumented code is handed. Besides
+//! its counters it carries the two other golden sinks: a
+//! [`trace::TraceRecorder`] for deterministic sample series and a
+//! [`span::SpanSink`] for the work-unit span tree. Both are **off**
+//! unless the registry is built with them — [`Registry::from_env`]
+//! turns each on when its export variable (`RCS_OBS_TRACE`,
+//! `RCS_OBS_SPANS`) names a file, which is how every binary builds its
+//! registry. An instrumented operation therefore has one entry point
+//! taking `&Registry`, and the sinks reach every layer the registry
+//! reaches. A leaf whose spans must stay out of the tree runs under
+//! [`Registry::without_spans`].
 //!
 //! The [`manifest`] module renders a registry into the NDJSON run
 //! manifest every experiment binary emits (seed, thread count, model
@@ -33,26 +44,29 @@
 //! # Examples
 //!
 //! ```
+//! use rcs_obs::span::SpanSink;
 //! use rcs_obs::Registry;
 //!
-//! let obs = Registry::new();
+//! let obs = Registry::new().with_spans(SpanSink::new());
 //! obs.inc("solver.calls");
 //! obs.record_histogram("solver.iterations", &[5, 10, 50], 7);
-//! {
-//!     let _span = obs.span("solver.total");
-//! } // span count is golden, its wall-clock duration is not
+//! obs.enter("solver.total");
+//! obs.work("solver.sweeps", 3);
+//! obs.exit();
 //!
 //! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("solver.calls"), 1);
-//! assert_eq!(snap.counter("solver.total"), 1);
 //! assert_eq!(snap.histogram("solver.iterations").unwrap().counts, [0, 1, 0, 0]);
+//! assert_eq!(obs.spans().snapshot().nodes[0].total(), 3);
 //! ```
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
+
+use span::SpanSink;
+use trace::TraceRecorder;
 
 pub mod manifest;
 pub mod profile;
@@ -71,8 +85,6 @@ struct Inner {
     histograms: BTreeMap<String, HistogramSnapshot>,
     /// Golden: fixed-edge float histograms.
     fhistograms: BTreeMap<String, FHistogramSnapshot>,
-    /// Non-golden: wall-clock span durations.
-    timings: BTreeMap<String, TimingStat>,
     /// Non-golden: scheduling-dependent gauges.
     notes: BTreeMap<String, u64>,
     /// Golden: running sum of every `profile.*` counter ever recorded
@@ -82,27 +94,22 @@ struct Inner {
     work_units: u64,
 }
 
-/// Accumulated wall-clock time of one span name (non-golden channel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimingStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across them.
-    pub total_nanos: u128,
-}
-
-/// A deterministic telemetry sink.
+/// The telemetry context: golden counters and histograms, non-golden
+/// notes, and the trace recorder and span sink riding along.
 ///
 /// `Registry` is `Sync`: concurrent workers may record into one shared
 /// registry directly (golden merges are commutative integer additions),
-/// or stages may give each task its own registry and [`absorb`] the
-/// snapshots in input order — the contract the parallel layer uses.
+/// or stages may give each task its own [`shard`] and [`absorb_shard`]
+/// the shards in input order — the contract the parallel layer uses.
 ///
-/// [`absorb`]: Registry::absorb
+/// [`shard`]: Registry::shard
+/// [`absorb_shard`]: Registry::absorb_shard
 #[derive(Debug)]
 pub struct Registry {
     enabled: bool,
     inner: Mutex<Inner>,
+    trace: TraceRecorder,
+    spans: SpanSink,
 }
 
 impl Default for Registry {
@@ -118,25 +125,61 @@ static DISABLED: Registry = Registry {
         counters: BTreeMap::new(),
         histograms: BTreeMap::new(),
         fhistograms: BTreeMap::new(),
-        timings: BTreeMap::new(),
         notes: BTreeMap::new(),
         work_units: 0,
     }),
+    trace: TraceRecorder::off(),
+    spans: SpanSink::off(),
 };
 
 impl Registry {
-    /// Creates an empty, enabled registry.
+    /// Creates an empty registry recording counters, histograms and
+    /// notes; its trace recorder and span sink are off (see
+    /// [`Registry::with_trace`] / [`Registry::with_spans`]).
     #[must_use]
     pub fn new() -> Self {
         Self {
             enabled: true,
             inner: Mutex::new(Inner::default()),
+            trace: TraceRecorder::off(),
+            spans: SpanSink::off(),
         }
     }
 
-    /// The shared no-op sink: every record call returns immediately, so
-    /// un-observed entry points (`solve_robust`, `run`, …) pay one
-    /// branch and nothing else.
+    /// [`Registry::new`] with the trace recorder on when
+    /// [`trace::TRACE_ENV`] names an export file and the span sink on
+    /// when [`span::SPANS_ENV`] does — the registry every binary builds,
+    /// so a sink costs nothing unless the run asked for its file.
+    #[must_use]
+    pub fn from_env() -> Self {
+        let named = |var: &str| std::env::var(var).is_ok_and(|path| !path.is_empty());
+        let mut obs = Self::new();
+        if named(trace::TRACE_ENV) {
+            obs = obs.with_trace(TraceRecorder::new());
+        }
+        if named(span::SPANS_ENV) {
+            obs = obs.with_spans(SpanSink::new());
+        }
+        obs
+    }
+
+    /// Replaces the trace recorder (builder style).
+    #[must_use]
+    pub fn with_trace(mut self, trace: TraceRecorder) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Replaces the span sink (builder style).
+    #[must_use]
+    pub fn with_spans(mut self, spans: SpanSink) -> Self {
+        self.spans = spans;
+        self
+    }
+
+    /// The shared no-op context: counters, trace and spans all off, so
+    /// un-observed entry points (`solve`, `run`, …) pay one
+    /// branch per record call and nothing else.
     #[must_use]
     pub fn disabled() -> &'static Registry {
         &DISABLED
@@ -146,6 +189,85 @@ impl Registry {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// The trace recorder riding on this registry.
+    #[must_use]
+    pub fn trace(&self) -> &TraceRecorder {
+        &self.trace
+    }
+
+    /// The span sink riding on this registry.
+    #[must_use]
+    pub fn spans(&self) -> &SpanSink {
+        &self.spans
+    }
+
+    /// Opens a span labelled `label` on this registry's span sink,
+    /// timestamped with this registry's work clock.
+    pub fn enter(&self, label: &str) {
+        self.spans.enter(label, self);
+    }
+
+    /// Closes the innermost open span (see [`Registry::enter`]).
+    pub fn exit(&self) {
+        self.spans.exit(self);
+    }
+
+    /// Runs `f` with span recording suppressed: spans it opens are
+    /// invisible (their work still lands on the enclosing span), while
+    /// counters and traces record as usual. Solvers whose callers
+    /// attribute their work to one coarser span use this to keep their
+    /// own ladder spans out of the tree. One branch when spans are off;
+    /// a panic inside `f` still restores the span stack.
+    pub fn without_spans<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !self.spans.is_enabled() {
+            return f();
+        }
+        let _restore = self.spans.suppress();
+        f()
+    }
+
+    /// A fresh per-task registry for a parallel stage: counters always
+    /// on (per-task work budgets read them even under a disabled
+    /// parent), trace recorder and span sink on exactly when this
+    /// registry records them. Merge it back with
+    /// [`Registry::absorb_shard`].
+    #[must_use]
+    pub fn shard(&self) -> Registry {
+        Self {
+            enabled: true,
+            inner: Mutex::new(Inner::default()),
+            trace: self.trace.shard(),
+            spans: self.spans.shard(),
+        }
+    }
+
+    /// Captures a finished [`Registry::shard`] for
+    /// [`Registry::absorb_shard`]. Call it on the worker that recorded
+    /// the shard, so the copy is made in parallel and the shard itself
+    /// is freed there.
+    #[must_use]
+    pub fn seal(&self) -> ShardState {
+        ShardState {
+            counters: self.snapshot(),
+            trace: self.trace.snapshot(),
+            spans: self.spans.snapshot(),
+        }
+    }
+
+    /// Merges a sealed shard: its golden counters, then its retained
+    /// trace samples replayed through this registry's bounded
+    /// decimation under the channel names `{prefix}/{name}`
+    /// (unprefixed when `prefix` is empty), then its span tree spliced
+    /// under the currently open span at the work clock the counters
+    /// started from. Called once per task in **input order**, this is
+    /// bit-identical to running the tasks inline.
+    pub fn absorb_shard(&self, prefix: &str, shard: &ShardState) {
+        let base = self.work_units();
+        self.absorb(&shard.counters);
+        self.trace.absorb_prefixed(prefix, &shard.trace);
+        self.spans.absorb_at(base, &shard.spans);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -293,37 +415,6 @@ impl Registry {
         *inner.notes.entry(name.to_owned()).or_insert(0) += n;
     }
 
-    /// Opens a wall-clock span. Dropping the guard increments the golden
-    /// counter `name` and adds the elapsed time to the non-golden timing
-    /// channel under the same name.
-    #[must_use]
-    pub fn span<'a>(&'a self, name: &str) -> Span<'a> {
-        Span {
-            registry: self,
-            // the disabled sink never reads the name: keep the guard
-            // allocation-free (String::new() does not allocate)
-            name: if self.enabled {
-                name.to_owned()
-            } else {
-                String::new()
-            },
-            started: Instant::now(),
-        }
-    }
-
-    /// Records a finished span (used by [`Span::drop`]; public so code
-    /// that already measured a duration can feed it in).
-    pub fn record_span(&self, name: &str, nanos: u128) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += 1;
-        let t = inner.timings.entry(name.to_owned()).or_default();
-        t.count += 1;
-        t.total_nanos += nanos;
-    }
-
     /// Captures the golden channel: all counters and histograms, in
     /// sorted name order. Two runs of the same seeded workload must
     /// produce `==` snapshots at any thread count.
@@ -349,17 +440,6 @@ impl Registry {
         }
     }
 
-    /// Captures the non-golden timing channel (span durations), in
-    /// sorted name order.
-    #[must_use]
-    pub fn timings(&self) -> Vec<(String, TimingStat)> {
-        self.lock()
-            .timings
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
     /// Captures the non-golden note gauges, in sorted name order.
     #[must_use]
     pub fn notes(&self) -> Vec<(String, u64)> {
@@ -373,11 +453,11 @@ impl Registry {
     /// Merges a golden snapshot into this registry: counters add,
     /// histogram bucket counts add (bounds must match).
     ///
-    /// Parallel stages use this as the shard-merge step: each task
-    /// records into its own registry, the pool returns the per-task
-    /// snapshots **in input order**, and the caller absorbs them in that
-    /// fixed order — so the merged registry is independent of which
-    /// worker ran what when.
+    /// [`Registry::absorb_shard`] uses this as the counter half of the
+    /// shard merge: each task records into its own registry, the pool
+    /// returns the per-task snapshots **in input order**, and the caller
+    /// absorbs them in that fixed order — so the merged registry is
+    /// independent of which worker ran what when.
     ///
     /// # Panics
     ///
@@ -435,19 +515,14 @@ impl Registry {
     }
 }
 
-/// RAII guard returned by [`Registry::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    registry: &'a Registry,
-    name: String,
-    started: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.registry
-            .record_span(&self.name, self.started.elapsed().as_nanos());
-    }
+/// A finished shard's telemetry — counters, trace channels and span
+/// tree — as captured by [`Registry::seal`] and merged by
+/// [`Registry::absorb_shard`].
+#[derive(Debug, Clone, Default)]
+pub struct ShardState {
+    counters: Snapshot,
+    trace: trace::TraceSnapshot,
+    spans: span::SpanState,
 }
 
 /// One histogram's state: inclusive upper bucket bounds plus counts
@@ -643,13 +718,14 @@ mod tests {
         obs.record_histogram_f64("fh", &[1.0], 0.5);
         obs.note("n", 1);
         obs.work("phase.step", 3);
-        {
-            let _span = obs.span("s");
-        }
+        obs.enter("s");
+        obs.exit();
         assert!(!obs.is_enabled());
+        assert!(!obs.trace().is_enabled());
+        assert!(!obs.spans().is_enabled());
         assert!(obs.snapshot().is_empty());
-        assert!(obs.timings().is_empty());
         assert!(obs.notes().is_empty());
+        assert!(obs.spans().snapshot().is_empty());
     }
 
     #[test]
@@ -705,29 +781,6 @@ mod tests {
         let snap = total.snapshot();
         assert_eq!(snap.fhistogram("fh").unwrap().counts, vec![1, 1]);
         assert!(!snap.is_empty());
-    }
-
-    #[test]
-    fn spans_count_golden_and_time_non_golden() {
-        let obs = Registry::new();
-        {
-            let _a = obs.span("scope");
-        }
-        {
-            let _b = obs.span("scope");
-        }
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("scope"), 2);
-        let timings = obs.timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].0, "scope");
-        assert_eq!(timings[0].1.count, 2);
-        // durations live outside the snapshot: two registries with
-        // different wall-clock histories still compare equal
-        let other = Registry::new();
-        other.record_span("scope", 999_999_999);
-        other.record_span("scope", 1);
-        assert_eq!(other.snapshot(), snap);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! node, or trace sample turns into a nonzero exit code instead of a
 //! silently different float on stdout.
 //!
-//! Only the golden channel is compared: `timing` and `note` lines are
-//! parsed and discarded, because they legitimately vary run to run.
+//! Only the golden channel is compared: `note` lines are parsed and
+//! discarded, because they legitimately vary run to run, and so are the
+//! `timing` lines older manifests still carry.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -289,7 +290,8 @@ pub struct SpanElisionDoc {
 }
 
 /// One run's golden telemetry as parsed from an NDJSON manifest/trace
-/// file. Non-golden `timing`/`note` lines are discarded on parse.
+/// file. Non-golden `note` lines (and the `timing` lines of older
+/// manifests) are discarded on parse.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunDoc {
     /// Experiment name from the `run` header (empty for headerless

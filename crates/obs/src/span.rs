@@ -12,16 +12,20 @@
 //!
 //! # Recording model
 //!
-//! Spans are an explicit stack, not an RAII guard: `enter(label)` /
-//! `exit()` pairs. The open stack is plain data ([`SpanState`]), which
+//! A span sink rides on a [`Registry`] (see [`Registry::with_spans`]);
+//! instrumented code records through [`Registry::enter`] /
+//! [`Registry::exit`], which timestamp with that registry's work
+//! clock. Spans are an explicit stack, not an RAII guard: `enter` /
+//! `exit` pairs. The open stack is plain data ([`SpanState`]), which
 //! is what lets `rcs-kernel`'s `SinkState` seal a *mid-span* checkpoint
 //! and restore it into fresh sinks such that
 //! `run(k); checkpoint; restore; run(n-k)` reproduces the straight
 //! run's tree bitwise.
 //!
-//! Parallel stages give each item a shard sink ([`SpanSink::shard`])
-//! whose closed tree is spliced under the live parent in **input
-//! order** by [`SpanSink::absorb_at`], with shard-local timestamps
+//! Parallel stages give each item a shard registry
+//! ([`Registry::shard`]) whose closed span tree is spliced under the
+//! live parent in **input order** by [`Registry::absorb_shard`], with
+//! shard-local timestamps
 //! offset by the absorbing registry's work clock at the splice point —
 //! exactly the timestamps serial inline execution would have produced.
 //!
@@ -48,16 +52,15 @@
 //! ```
 //! use rcs_obs::{span::SpanSink, Registry};
 //!
-//! let obs = Registry::new();
-//! let spans = SpanSink::new();
-//! spans.enter("solve", &obs);
+//! let obs = Registry::new().with_spans(SpanSink::new());
+//! obs.enter("solve");
 //! obs.work("solver.iterations", 40);
-//! spans.enter("rung", &obs);
+//! obs.enter("rung");
 //! obs.work("solver.iterations", 2);
-//! spans.exit(&obs);
-//! spans.exit(&obs);
+//! obs.exit();
+//! obs.exit();
 //!
-//! let tree = spans.snapshot();
+//! let tree = obs.spans().snapshot();
 //! let text = rcs_obs::span::render_ndjson(&tree);
 //! assert!(text.contains("\"label\":\"solve\""));
 //! assert!(text.contains("\"total\":42"));
@@ -70,7 +73,8 @@ use crate::Registry;
 
 /// Environment variable naming the span export file. A `.json` suffix
 /// selects Chrome trace-event JSON (loadable in `chrome://tracing` /
-/// Perfetto); anything else gets NDJSON `span` lines.
+/// Perfetto); anything else gets NDJSON `span` lines. Unset (or empty),
+/// [`Registry::from_env`] leaves the span sink off.
 pub const SPANS_ENV: &str = "RCS_OBS_SPANS";
 
 /// Default per-(parent, label) fan-out cap before same-label siblings
@@ -149,27 +153,16 @@ impl SpanState {
 
 /// A deterministic hierarchical span recorder.
 ///
-/// Like [`Registry`] and the trace recorder, a disabled sink
-/// ([`SpanSink::disabled`]) pays one branch per call and never touches
-/// the heap — the `noalloc` test pins that down.
+/// Like [`Registry`] and the trace recorder, a sink that is off (the
+/// state of every registry not built [`Registry::with_spans`]) pays one
+/// branch per call and never touches the heap — the `noalloc` test pins
+/// that down.
 #[derive(Debug)]
 pub struct SpanSink {
     enabled: bool,
     fanout: usize,
     inner: Mutex<SpanState>,
 }
-
-/// The shared disabled sink behind [`SpanSink::disabled`].
-static DISABLED: SpanSink = SpanSink {
-    enabled: false,
-    fanout: DEFAULT_FANOUT,
-    inner: Mutex::new(SpanState {
-        nodes: Vec::new(),
-        roots: Vec::new(),
-        root_elided: Vec::new(),
-        stack: Vec::new(),
-    }),
-};
 
 impl Default for SpanSink {
     fn default() -> Self {
@@ -200,26 +193,24 @@ impl SpanSink {
         }
     }
 
-    /// The shared no-op sink: every call returns after one branch.
+    /// A sink that records nothing: every call returns after one
+    /// branch and never touches the heap. The state of a
+    /// [`Registry`] built without spans.
     #[must_use]
-    pub fn disabled() -> &'static SpanSink {
-        &DISABLED
-    }
-
-    /// Enabled iff [`SPANS_ENV`] names a non-empty export path.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(SPANS_ENV) {
-            Ok(path) if !path.is_empty() => Self::new(),
-            _ => Self {
-                enabled: false,
-                fanout: DEFAULT_FANOUT,
-                inner: Mutex::new(SpanState::default()),
-            },
+    pub(crate) const fn off() -> Self {
+        Self {
+            enabled: false,
+            fanout: DEFAULT_FANOUT,
+            inner: Mutex::new(SpanState {
+                nodes: Vec::new(),
+                roots: Vec::new(),
+                root_elided: Vec::new(),
+                stack: Vec::new(),
+            }),
         }
     }
 
-    /// `true` unless this is (or mirrors) the disabled sink.
+    /// `true` unless this sink is off.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -231,15 +222,32 @@ impl SpanSink {
         self.fanout
     }
 
-    /// An empty sink sharing this sink's enablement and fan-out cap —
-    /// the per-item recorder parallel stages hand each task.
+    /// An empty sink with this sink's fan-out cap — the span half of
+    /// [`Registry::shard`]. It records only when this sink would record
+    /// a span opened right now: a shard taken under a suppressed or
+    /// elided frame is off, exactly as the spans of the same work run
+    /// inline would be invisible.
     #[must_use]
-    pub fn shard(&self) -> SpanSink {
+    pub(crate) fn shard(&self) -> SpanSink {
+        let recording =
+            self.enabled && matches!(self.lock().stack.last(), None | Some(Frame::Node(_)));
         SpanSink {
-            enabled: self.enabled,
+            enabled: recording,
             fanout: self.fanout,
             inner: Mutex::new(SpanState::default()),
         }
+    }
+
+    /// Pushes a [`Frame::Suppressed`] frame, hiding every span opened
+    /// until the returned guard drops; the guard then cuts the stack
+    /// back to its depth before the call — the suppression frame and any
+    /// (invisible) span a panic left open inside it. The primitive
+    /// behind [`Registry::without_spans`].
+    pub(crate) fn suppress(&self) -> Suppression<'_> {
+        let mut state = self.lock();
+        let depth = state.stack.len();
+        state.stack.push(Frame::Suppressed);
+        Suppression { sink: self, depth }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanState> {
@@ -276,7 +284,7 @@ impl SpanSink {
     /// clock. Same-label siblings beyond the fan-out cap are elided
     /// (their subtree is suppressed and folds into the parent's elision
     /// summary on exit).
-    pub fn enter(&self, label: &str, obs: &Registry) {
+    pub(crate) fn enter(&self, label: &str, obs: &Registry) {
         if !self.enabled {
             return;
         }
@@ -315,7 +323,7 @@ impl SpanSink {
     /// Closes the innermost open span, timestamped with `obs`'s work
     /// clock. An exit with no open span is a no-op (the disabled-sink
     /// contract makes unbalanced call sites harmless either way).
-    pub fn exit(&self, obs: &Registry) {
+    pub(crate) fn exit(&self, obs: &Registry) {
         if !self.enabled {
             return;
         }
@@ -369,12 +377,17 @@ impl SpanSink {
     /// elision decisions serial inline execution would have made.
     ///
     /// Shard roots still open in `state` are closed at their own start
-    /// (zero-width); `par_map_spanned` always closes them first.
-    pub fn absorb_at(&self, base: u64, state: &SpanState) {
+    /// (zero-width); the parallel layer always closes them first. Under
+    /// an elided or suppressed frame the shard tree is dropped, as the
+    /// same spans opened inline would have been.
+    pub(crate) fn absorb_at(&self, base: u64, state: &SpanState) {
         if !self.enabled || state.is_empty() {
             return;
         }
         let mut live = self.lock();
+        if let Some(Frame::Elided { .. } | Frame::Suppressed) = live.stack.last() {
+            return;
+        }
         let roots: Vec<usize> = state.roots.clone();
         for root in roots {
             Self::splice(&mut live, self.fanout, base, state, root);
@@ -453,6 +466,19 @@ impl SpanSink {
             live.nodes[idx].children.push(c);
         }
         idx
+    }
+}
+
+/// Guard returned by [`SpanSink::suppress`]: restores the open-span
+/// stack on drop, unwinding included.
+pub(crate) struct Suppression<'a> {
+    sink: &'a SpanSink,
+    depth: usize,
+}
+
+impl Drop for Suppression<'_> {
+    fn drop(&mut self) {
+        self.sink.lock().stack.truncate(self.depth);
     }
 }
 
@@ -778,7 +804,7 @@ mod tests {
     #[test]
     fn disabled_sink_ignores_everything() {
         let obs = Registry::new();
-        let spans = SpanSink::disabled();
+        let spans = SpanSink::off();
         spans.enter("x", &obs);
         spans.exit(&obs);
         assert!(spans.snapshot().is_empty());
@@ -851,6 +877,43 @@ mod tests {
         assert_eq!(flat.len(), 3, "2 kept under the cap: {flat:?}");
         assert_eq!(flat[0].elided, vec![("item".to_owned(), 2, 10)]);
         assert_eq!(flat[0].total, 20);
+    }
+
+    #[test]
+    fn suppressed_spans_fold_their_work_into_the_enclosing_span() {
+        let obs = Registry::new().with_spans(SpanSink::new());
+        obs.enter("cell");
+        let answer = obs.without_spans(|| {
+            obs.enter("ladder");
+            work(&obs, 4);
+            // a shard taken under suppression records nothing either
+            let shard = obs.shard();
+            shard.enter("item");
+            work(&shard, 2);
+            shard.exit();
+            assert!(shard.spans().snapshot().is_empty());
+            obs.absorb_shard("", &shard.seal());
+            // an unbalanced enter is cut off with the suppression
+            obs.enter("left open");
+            42
+        });
+        assert_eq!(answer, 42);
+        // a panic inside the scope still restores the stack
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            obs.without_spans(|| {
+                obs.enter("doomed");
+                panic!("solver blew up");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(obs.spans().snapshot().stack.len(), 1, "only `cell` open");
+        obs.exit();
+        let flat = flatten(&obs.spans().snapshot());
+        assert_eq!(flat.len(), 1, "{flat:?}");
+        assert_eq!(flat[0].label, "cell");
+        assert_eq!(flat[0].total, 6);
+        assert_eq!(flat[0].self_work, 6);
+        assert!(obs.spans().snapshot().stack.is_empty());
     }
 
     #[test]

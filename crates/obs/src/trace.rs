@@ -4,12 +4,14 @@
 //! bath temperatures of a fault drill, the residual of each fallback
 //! rung a solver ladder climbs, the node temperatures of a thermal
 //! transient — where the golden counters of [`crate::Registry`] capture
-//! only totals. Traces sit in the **golden channel**: every sample is a
+//! only totals. A recorder rides on a registry
+//! ([`crate::Registry::with_trace`]) and instrumented code records into
+//! [`crate::Registry::trace`]. Traces sit in the **golden channel**: every sample is a
 //! deterministic float produced by seeded physics, so two runs of the
 //! same workload must produce `==` [`TraceSnapshot`]s at any
-//! `RCS_THREADS` setting. Parallel stages record into per-task shard
-//! recorders and [`TraceRecorder::absorb_prefixed`] them in **input
-//! order**, exactly like registry snapshots.
+//! `RCS_THREADS` setting. Parallel stages record into the recorders of
+//! per-task shard registries, merged into the parent in **input order**
+//! by [`crate::Registry::absorb_shard`], exactly like counter snapshots.
 //!
 //! # Bounded memory, deterministic decimation
 //!
@@ -45,8 +47,8 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Environment variable naming the trace export file. Unset (or empty)
-/// means "do not export" — the recorder still records, the file is
-/// simply never written.
+/// means "do not export": [`crate::Registry::from_env`] then leaves the
+/// trace off, and [`emit`] writes nothing.
 pub const TRACE_ENV: &str = "RCS_OBS_TRACE";
 
 /// Default per-channel sample capacity.
@@ -141,7 +143,7 @@ struct TraceInner {
 ///
 /// `TraceRecorder` is `Sync` the same way [`crate::Registry`] is; the
 /// deterministic usage pattern is per-task shard recorders merged in
-/// input order via [`TraceRecorder::absorb_prefixed`].
+/// input order via [`crate::Registry::absorb_shard`].
 #[derive(Debug)]
 pub struct TraceRecorder {
     enabled: bool,
@@ -154,16 +156,6 @@ impl Default for TraceRecorder {
         Self::new()
     }
 }
-
-/// The shared no-op sink behind [`TraceRecorder::disabled`].
-static DISABLED: TraceRecorder = TraceRecorder {
-    enabled: false,
-    capacity: DEFAULT_CAPACITY,
-    inner: Mutex::new(TraceInner {
-        channels: Vec::new(),
-        index: BTreeMap::new(),
-    }),
-};
 
 impl TraceRecorder {
     /// Creates an enabled recorder with [`DEFAULT_CAPACITY`] samples per
@@ -192,37 +184,26 @@ impl TraceRecorder {
         }
     }
 
-    /// The shared no-op sink: [`TraceRecorder::record`] returns
-    /// immediately, [`TraceRecorder::snapshot`] is empty.
+    /// A recorder that records nothing: every call returns after one
+    /// branch and never touches the heap. The state of a
+    /// [`crate::Registry`] built without a trace.
     #[must_use]
-    pub fn disabled() -> &'static TraceRecorder {
-        &DISABLED
-    }
-
-    /// An enabled recorder when the `RCS_OBS_TRACE` export destination
-    /// is set (non-empty), otherwise a no-op recorder — the standard
-    /// binary entry point: recording costs nothing unless the run asked
-    /// for a trace file.
-    #[must_use]
-    pub fn from_env() -> TraceRecorder {
-        match std::env::var(TRACE_ENV) {
-            Ok(path) if !path.is_empty() => Self::new(),
-            _ => Self {
-                enabled: false,
-                capacity: DEFAULT_CAPACITY,
-                inner: Mutex::new(TraceInner {
-                    channels: Vec::new(),
-                    index: BTreeMap::new(),
-                }),
-            },
+    pub(crate) const fn off() -> Self {
+        Self {
+            enabled: false,
+            capacity: DEFAULT_CAPACITY,
+            inner: Mutex::new(TraceInner {
+                channels: Vec::new(),
+                index: BTreeMap::new(),
+            }),
         }
     }
 
     /// An empty recorder with this recorder's capacity and enablement —
-    /// the shard constructor the parallel layer uses, so a disabled
+    /// the trace half of [`crate::Registry::shard`], so a disabled
     /// parent produces no-op shards.
     #[must_use]
-    pub fn shard(&self) -> TraceRecorder {
+    pub(crate) fn shard(&self) -> TraceRecorder {
         Self {
             enabled: self.enabled,
             capacity: self.capacity,
@@ -233,7 +214,7 @@ impl TraceRecorder {
         }
     }
 
-    /// `true` unless this is the [`TraceRecorder::disabled`] sink.
+    /// `true` unless this recorder is off.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -324,11 +305,6 @@ impl TraceRecorder {
         TraceSnapshot { channels }
     }
 
-    /// [`TraceRecorder::absorb_prefixed`] with no prefix.
-    pub fn absorb(&self, snapshot: &TraceSnapshot) {
-        self.absorb_prefixed("", snapshot);
-    }
-
     /// Replays a shard snapshot into this recorder, channel by channel
     /// in the snapshot's (sorted) order, renaming each channel to
     /// `{prefix}/{name}` when `prefix` is non-empty. Every retained
@@ -341,7 +317,7 @@ impl TraceRecorder {
     ///
     /// Panics if a merged channel name already exists with a different
     /// kind.
-    pub fn absorb_prefixed(&self, prefix: &str, snapshot: &TraceSnapshot) {
+    pub(crate) fn absorb_prefixed(&self, prefix: &str, snapshot: &TraceSnapshot) {
         if !self.enabled {
             return;
         }
@@ -361,9 +337,9 @@ impl TraceRecorder {
     /// Installs a snapshot **verbatim** — stride, push count and
     /// retained samples copied exactly, with no re-push and therefore no
     /// re-decimation. This is the checkpoint/restore hook of the
-    /// simulation kernel: where [`TraceRecorder::absorb`] *replays* a
-    /// shard (advancing push counts and possibly re-decimating), a
-    /// restore must reproduce the recorder's exact mid-run state so the
+    /// simulation kernel: where absorbing a shard *replays* it
+    /// (advancing push counts and possibly re-decimating), a restore
+    /// must reproduce the recorder's exact mid-run state so the
     /// resumed run's future pushes decimate identically to an
     /// uninterrupted one.
     ///
@@ -701,17 +677,17 @@ mod tests {
         // An absorb of the same snapshot is a replay, not a restore:
         // push counts differ (only retained samples are re-pushed).
         let absorbed = TraceRecorder::with_capacity(8);
-        absorbed.absorb(&snap);
+        absorbed.absorb_prefixed("", &snap);
         assert_ne!(absorbed.snapshot().channel("x").unwrap().pushed, 37);
     }
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let trace = TraceRecorder::disabled();
+        let trace = TraceRecorder::off();
         let ch = trace.channel("t", ChannelKind::Temperature);
         trace.record(ch, 0.0, 1.0);
         trace.record_named("u", ChannelKind::Flow, 0.0, 2.0);
-        trace.absorb(&TraceSnapshot::default());
+        trace.absorb_prefixed("", &TraceSnapshot::default());
         assert!(!trace.is_enabled());
         assert!(trace.snapshot().is_empty());
         // shards of a disabled recorder are disabled too

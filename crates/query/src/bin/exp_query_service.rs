@@ -4,21 +4,19 @@
 //! cache hit/miss/eviction schedule of the experiment. When
 //! `RCS_OBS_SPANS` names a file the per-request golden span tree is
 //! appended to it (NDJSON, or a Chrome trace-event document for a
-//! `.json` path).
+//! `.json` path); when `RCS_OBS_TRACE` names one, the solver traces of
+//! every miss are appended to it.
 
-use rcs_obs::span::SpanSink;
 use rcs_obs::Registry;
 use rcs_query::e18_query_service;
 
 fn main() {
-    let obs = Registry::new();
-    let spans = SpanSink::from_env();
-    let tables = e18_query_service::run_spanned(&obs, &spans);
+    let obs = Registry::from_env();
+    let tables = e18_query_service::run(&obs);
     rcs_core::experiments::finish_run(
         "e18_query_service",
         Some(e18_query_service::SEED),
         &tables,
         &obs,
     );
-    rcs_obs::span::emit(&spans.snapshot());
 }

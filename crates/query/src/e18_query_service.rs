@@ -64,7 +64,9 @@ pub fn batch() -> Vec<DesignQuery> {
 /// Runs the experiment: [`ROUNDS`] replays of [`batch`] through one
 /// engine, returning the verdict grid (from the final, cache-mixed
 /// round — bit-identical to the first by the determinism contract) and
-/// the per-round cache-behaviour table.
+/// the per-round cache-behaviour table. Each replay round runs inside a
+/// `round` span whose `query.batch` child carries the per-request
+/// `req.<hash>` spans.
 ///
 /// # Panics
 ///
@@ -72,18 +74,6 @@ pub fn batch() -> Vec<DesignQuery> {
 /// known-good immersion design.
 #[must_use]
 pub fn run(obs: &Registry) -> Vec<Table> {
-    run_spanned(obs, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run`] plus span attribution: each replay round runs inside a
-/// `round` span whose `query.batch` child carries the per-request
-/// `req.<hash>` spans. Telemetry on `obs` is byte-identical to [`run`].
-///
-/// # Panics
-///
-/// Same contract as [`run`].
-#[must_use]
-pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table> {
     let queries = batch();
     let threads = rcs_parallel::thread_count();
     let mut engine = QueryEngine::new(CAPACITY);
@@ -92,9 +82,9 @@ pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table
     let mut last = Vec::new();
     let mut prev = obs.snapshot();
     for round in 1..=ROUNDS {
-        spans.enter("round", obs);
+        obs.enter("round");
         last = engine
-            .run_batch_spanned(&queries, threads, obs, spans)
+            .run_batch(&queries, threads, obs)
             .into_iter()
             .map(|outcome| match outcome {
                 crate::QueryOutcome::Ok(verdict) => verdict,
@@ -113,7 +103,7 @@ pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table
             engine.cache().len().to_string(),
         ]);
         prev = snap;
-        spans.exit(obs);
+        obs.exit();
     }
 
     let verdict_rows = queries

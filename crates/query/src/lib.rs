@@ -81,7 +81,6 @@ use rcs_core::{rules, CoreError, ImmersionModel};
 use rcs_devices::OperatingPoint;
 use rcs_fluids::Coolant;
 use rcs_numeric::hash::Fnv1a;
-use rcs_obs::span::SpanSink;
 use rcs_obs::Registry;
 use rcs_platform::{presets, ComputeModule};
 use rcs_units::{Power, Seconds};
@@ -93,6 +92,13 @@ const CANON_TAG: &str = "rcs.query.v1";
 
 /// Availability horizon every verdict is judged over, in years.
 pub const HORIZON_YEARS: f64 = 3.0;
+
+/// Largest Monte-Carlo trial count a spec may ask for. The availability
+/// study reserves one slot per trial up front, so an unbounded count is
+/// an allocation failure (an abort no isolation can catch) rather than
+/// an error; this bound is about 250× the largest count any experiment
+/// uses.
+pub const MAX_TRIALS: u32 = 1_000_000;
 
 /// Structured post-mortem of a solve that did not converge: how far the
 /// retry machinery got, so a retry policy can classify the failure
@@ -443,6 +449,8 @@ impl DesignQuery {
                     if !(0.0..=1.0).contains(&u) {
                         return Err(QueryError::Parse(format!("util {u} outside [0, 1]")));
                     }
+                    // -0 is 0: the spec must render what the hash means
+                    let u = if u == 0.0 { 0.0 } else { u };
                     set(&mut utilization, key, u)?;
                 }
                 "trials" => {
@@ -451,6 +459,11 @@ impl DesignQuery {
                         .map_err(|_| QueryError::Parse(format!("bad trials {value:?}")))?;
                     if t == 0 {
                         return Err(QueryError::Parse("trials must be positive".into()));
+                    }
+                    if t > MAX_TRIALS {
+                        return Err(QueryError::Parse(format!(
+                            "trials {t} above the limit of {MAX_TRIALS}"
+                        )));
                     }
                     set(&mut trials, key, t)?;
                 }
@@ -583,7 +596,8 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
 /// [`solve_query`] at a given rung of the retry ladder. Attempt 0 is
 /// the standard robust solve; attempts ≥ 1 re-run the coupled fixed
 /// point under `RETRY_RUNGS` damping, trading iterations for
-/// stability. Inputs are validated *before* any solver runs, so a
+/// stability. The solvers record counters and traces into `obs` but no
+/// spans: the engine attributes work to whole attempts. Inputs are validated *before* any solver runs, so a
 /// poisoned query (NaN utilization, zero trials) fails fast as the
 /// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
 ///
@@ -612,13 +626,19 @@ pub fn solve_query_at(
 
     let model = ImmersionModel::new(query.family.module(), bath)
         .with_operating_point(OperatingPoint::at_utilization(query.utilization));
-    let report = if attempt == 0 {
-        model.solve_robust_observed(obs)
-    } else {
-        let (damping, max_iter) = RETRY_RUNGS[(attempt as usize - 1).min(RETRY_RUNGS.len() - 1)];
-        model.solve_with_damping(damping, max_iter, obs)
-    }
-    .map_err(|e| QueryError::from_core(&e))?;
+    // The attempt span is the finest grain the engine attributes; the
+    // immersion ladder's own spans stay out of the request tree.
+    let report = obs
+        .without_spans(|| {
+            if attempt == 0 {
+                model.solve_robust_observed(obs)
+            } else {
+                let (damping, max_iter) =
+                    RETRY_RUNGS[(attempt as usize - 1).min(RETRY_RUNGS.len() - 1)];
+                model.solve_with_damping(damping, max_iter, obs)
+            }
+        })
+        .map_err(|e| QueryError::from_core(&e))?;
 
     let avail = availability::monte_carlo_observed(
         &classes,
@@ -716,7 +736,7 @@ impl FaultInjector for NoFaults {
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///
 /// `obs` should be the query's *own* shard registry (as handed out by
-/// [`rcs_parallel::par_map_isolated_observed`]): spent work is measured
+/// [`rcs_parallel::par_map_observed`]): spent work is measured
 /// as the shard's `profile.*` total, so the
 /// [`work_budget`](ResiliencePolicy::work_budget) covers exactly this
 /// query's attempts — including injected cost inflation.
@@ -726,7 +746,12 @@ impl FaultInjector for NoFaults {
 /// `resilience.worker.panics`, `resilience.budget.exhausted`,
 /// `resilience.failures.fatal`, `resilience.failures.exhausted`, and
 /// `resilience.injected.*` for injected faults — each mirrored into
-/// `profile.*` work.
+/// `profile.*` work. On the span sink of `obs`, every attempt runs
+/// inside an `attempt` span (the solvers' own spans are suppressed
+/// under it, see [`solve_query_at`]), and a tripped work budget leaves
+/// a zero-width `budget` marker span inside the attempt that tripped it
+/// — so span rollups show which attempt of which request burned the
+/// work, and where budgets cut runs short.
 ///
 /// # Errors
 ///
@@ -739,30 +764,10 @@ pub fn solve_query_resilient(
     injector: &dyn FaultInjector,
     obs: &Registry,
 ) -> Result<DesignVerdict, QueryError> {
-    solve_query_resilient_spanned(query, policy, injector, obs, SpanSink::disabled())
-}
-
-/// [`solve_query_resilient`] plus span attribution: every attempt of
-/// the retry ladder runs inside an `attempt` span, and a tripped work
-/// budget leaves a zero-width `budget` marker span inside the attempt
-/// that tripped it — so span rollups show which attempt of which
-/// request burned the work, and where budgets cut runs short.
-/// Telemetry on `obs` is byte-identical to [`solve_query_resilient`].
-///
-/// # Errors
-///
-/// Same contract as [`solve_query_resilient`].
-pub fn solve_query_resilient_spanned(
-    query: &DesignQuery,
-    policy: &ResiliencePolicy,
-    injector: &dyn FaultInjector,
-    obs: &Registry,
-    spans: &SpanSink,
-) -> Result<DesignVerdict, QueryError> {
     let max_attempts = policy.max_attempts.max(1);
     let mut last_err: Option<QueryError> = None;
     for attempt in 0..max_attempts {
-        spans.enter("attempt", obs);
+        obs.enter("attempt");
         if attempt > 0 {
             obs.inc("resilience.retry.attempts");
             obs.work("resilience.retry.attempts", 1);
@@ -776,9 +781,9 @@ pub fn solve_query_resilient_spanned(
         if spent >= policy.work_budget {
             obs.inc("resilience.budget.exhausted");
             obs.work("resilience.budget.exhausted", 1);
-            spans.enter("budget", obs);
-            spans.exit(obs);
-            spans.exit(obs);
+            obs.enter("budget");
+            obs.exit();
+            obs.exit();
             return Err(QueryError::BudgetExhausted {
                 spent,
                 budget: policy.work_budget,
@@ -816,7 +821,7 @@ pub fn solve_query_resilient_spanned(
                     obs.inc("resilience.retry.recoveries");
                     obs.work("resilience.retry.recoveries", 1);
                 }
-                spans.exit(obs);
+                obs.exit();
                 return Ok(verdict);
             }
             Ok(Err(e)) => e,
@@ -831,10 +836,10 @@ pub fn solve_query_resilient_spanned(
         if !err.is_retryable() {
             obs.inc("resilience.failures.fatal");
             obs.work("resilience.failures.fatal", 1);
-            spans.exit(obs);
+            obs.exit();
             return Err(err);
         }
-        spans.exit(obs);
+        obs.exit();
         last_err = Some(err);
     }
     obs.inc("resilience.failures.exhausted");
@@ -1140,18 +1145,6 @@ impl QueryEngine {
         self.run_batch_with(queries, threads, obs, &NoFaults)
     }
 
-    /// [`run_batch`](Self::run_batch) plus span attribution (see
-    /// [`run_batch_with_spanned`](Self::run_batch_with_spanned)).
-    pub fn run_batch_spanned(
-        &mut self,
-        queries: &[DesignQuery],
-        threads: usize,
-        obs: &Registry,
-        spans: &SpanSink,
-    ) -> Vec<QueryOutcome> {
-        self.run_batch_with_spanned(queries, threads, obs, &NoFaults, spans)
-    }
-
     /// [`run_batch`](Self::run_batch) with an explicit [`FaultInjector`]
     /// (the chaos-drill entry point).
     ///
@@ -1161,7 +1154,7 @@ impl QueryEngine {
     ///    in-batch duplicates and distinct misses against the cache
     ///    state at batch entry;
     /// 2. the misses solve concurrently over
-    ///    [`rcs_parallel::par_map_isolated_observed`] — each through
+    ///    [`rcs_parallel::par_map_observed`] — each through
     ///    [`solve_query_resilient`]'s retry/budget ladder, each on its
     ///    own telemetry shard, panics contained per item;
     /// 3. successful verdicts enter the cache sequentially in
@@ -1173,8 +1166,15 @@ impl QueryEngine {
     ///    with provenance; same-batch successes are eligible sources),
     ///    or `Failed` when nothing is close enough.
     ///
-    /// The outcomes — and every golden counter — are bit-identical at
-    /// any `threads`.
+    /// On the span sink of `obs` the whole batch runs inside one
+    /// `query.batch` span; every distinct miss solves inside a
+    /// `req.<canonical hash>` child (absorbed in miss order) with its
+    /// retry ladder's `attempt` / `budget` spans nested inside; and
+    /// every degraded resolution leaves a zero-width `degrade` marker on
+    /// the batch span.
+    ///
+    /// The outcomes — and every golden counter, trace and span — are
+    /// bit-identical at any `threads`.
     pub fn run_batch_with(
         &mut self,
         queries: &[DesignQuery],
@@ -1182,27 +1182,8 @@ impl QueryEngine {
         obs: &Registry,
         injector: &dyn FaultInjector,
     ) -> Vec<QueryOutcome> {
-        self.run_batch_with_spanned(queries, threads, obs, injector, SpanSink::disabled())
-    }
-
-    /// [`run_batch_with`](Self::run_batch_with) plus span attribution:
-    /// the whole batch runs inside one `query.batch` span; every
-    /// distinct miss solves inside a `req.<canonical hash>` child
-    /// (absorbed in miss order via [`rcs_parallel::par_map_spanned`])
-    /// with its retry ladder's `attempt` / `budget` spans nested
-    /// inside; and every degraded resolution leaves a zero-width
-    /// `degrade` marker on the batch span. Telemetry on `obs` is
-    /// byte-identical to [`run_batch_with`](Self::run_batch_with).
-    pub fn run_batch_with_spanned(
-        &mut self,
-        queries: &[DesignQuery],
-        threads: usize,
-        obs: &Registry,
-        injector: &dyn FaultInjector,
-        spans: &SpanSink,
-    ) -> Vec<QueryOutcome> {
         obs.inc("query.batch.runs");
-        spans.enter("query.batch", obs);
+        obs.enter("query.batch");
         obs.add("query.requests", queries.len() as u64);
         obs.work("query.requests", queries.len() as u64);
 
@@ -1248,16 +1229,18 @@ impl QueryEngine {
             .iter()
             .map(|(hash, _)| format!("req.{hash:016x}"))
             .collect();
-        let solved = rcs_parallel::par_map_spanned(
+        let options = rcs_parallel::MapOptions {
+            label: &|i| labels[i].clone(),
+            item_spans: true,
+            count_shape: true,
+        };
+        let solved = rcs_parallel::par_map_observed(
             misses,
             threads,
             obs,
-            rcs_obs::trace::TraceRecorder::disabled(),
-            spans,
-            |i| labels[i].clone(),
-            |_, (hash, query), shard, _, shard_spans| {
-                let result =
-                    solve_query_resilient_spanned(&query, &policy, injector, shard, shard_spans);
+            options,
+            |_, (hash, query), shard| {
+                let result = solve_query_resilient(&query, &policy, injector, shard);
                 (hash, query, result)
             },
         );
@@ -1315,8 +1298,8 @@ impl QueryEngine {
                 QueryOutcome::Degraded { .. } => {
                     degraded_n += 1;
                     // zero-width marker: a degraded answer was served
-                    spans.enter("degrade", obs);
-                    spans.exit(obs);
+                    obs.enter("degrade");
+                    obs.exit();
                 }
                 QueryOutcome::Failed(_) => failed_n += 1,
             }
@@ -1338,7 +1321,7 @@ impl QueryEngine {
         if degraded_n > 0 || failed_n > 0 {
             obs.add("query.outcomes.ok", ok_n);
         }
-        spans.exit(obs);
+        obs.exit();
         outcomes
     }
 }
@@ -1357,6 +1340,35 @@ mod tests {
             "family=skat_plus coolant=mineral_oil_md45 bath=skat_plus util=0.7 trials=32 seed=9",
         );
         assert_eq!(q(&a.spec()), a);
+    }
+
+    #[test]
+    fn negative_zero_utilization_parses_as_zero() {
+        let negative = q("family=skat util=-0");
+        let positive = q("family=skat util=0");
+        assert_eq!(negative, positive);
+        assert_eq!(
+            negative.utilization.to_bits(),
+            positive.utilization.to_bits()
+        );
+        assert_eq!(negative.canonical_hash(), positive.canonical_hash());
+        assert_eq!(negative.spec(), positive.spec());
+        assert!(negative.spec().contains(" util=0 "), "{}", negative.spec());
+    }
+
+    #[test]
+    fn trials_are_bounded_by_max_trials() {
+        let at_limit = format!("family=skat util=0.5 trials={MAX_TRIALS}");
+        assert_eq!(q(&at_limit).trials, MAX_TRIALS);
+        for spec in [
+            format!("family=skat util=0.5 trials={}", MAX_TRIALS + 1),
+            "family=skat util=0.5 trials=4000000000".to_owned(),
+        ] {
+            assert!(
+                matches!(DesignQuery::parse(&spec), Err(QueryError::Parse(_))),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,6 @@
 
 use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
 use rcs_numeric::ode::{rk4_step, Rk4Scratch};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
 use rcs_obs::Registry;
 use rcs_units::{Celsius, Seconds};
 
@@ -133,25 +131,7 @@ impl ThermalNetwork {
         duration: Seconds,
         max_step: Seconds,
     ) -> Result<TransientTrace, ThermalError> {
-        self.solve_transient_observed(initial, duration, max_step, Registry::disabled())
-    }
-
-    /// [`ThermalNetwork::solve_transient`] with telemetry recorded into
-    /// `obs` (see [`ThermalNetwork::solve_transient_from_observed`] for
-    /// the counters).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient`].
-    pub fn solve_transient_observed(
-        &self,
-        initial: Celsius,
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-    ) -> Result<TransientTrace, ThermalError> {
-        let initial_temps = self.uniform_initial(initial);
-        self.solve_transient_from_observed(&initial_temps, duration, max_step, obs)
+        self.solve_transient_from(&self.uniform_initial(initial), duration, max_step)
     }
 
     /// The per-node initial state of a uniform cold start: boundary
@@ -216,39 +196,6 @@ impl ThermalNetwork {
                 Err(e)
             }
         }
-    }
-
-    /// [`ThermalNetwork::solve_transient_observed`] plus trace
-    /// recording: on success every node's temperature series is pushed
-    /// into the channel `thermal.<node name>` of `trace` (bounded — long
-    /// transients are decimated deterministically).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient`].
-    pub fn solve_transient_traced(
-        &self,
-        initial: Celsius,
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<TransientTrace, ThermalError> {
-        let result = self.solve_transient_observed(initial, duration, max_step, obs);
-        if let Ok(t) = &result {
-            if trace.is_enabled() {
-                for (node, data) in self.nodes.iter().enumerate() {
-                    let channel = trace.channel(
-                        &format!("thermal.{}", data.name),
-                        rcs_obs::trace::ChannelKind::Temperature,
-                    );
-                    for (time, temp) in t.series(NodeId(node)) {
-                        trace.record(channel, time.seconds(), temp.degrees());
-                    }
-                }
-            }
-        }
-        result
     }
 }
 
@@ -504,24 +451,10 @@ impl TransientSession {
     }
 
     /// Seals the session — clock, state vector, accumulated samples —
-    /// plus the current contents of `obs` and `trace` into versioned
-    /// snapshot bytes.
+    /// plus the current contents of `obs` (trace and span sink
+    /// included) into versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// [`TransientSession::checkpoint`] that additionally seals the
-    /// span sink's state — closed tree and **open stack** — so a span
-    /// bracketing this session survives the checkpoint and closes on
-    /// the restored sink exactly where the straight run closes it.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, obs: &Registry) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.clock.write_into(&mut w);
         w.f64_slice(&self.state);
@@ -535,13 +468,13 @@ impl TransientSession {
                 w.f64(c.degrees());
             }
         }
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(obs).write_into(&mut w);
         rcs_kernel::seal(TRANSIENT_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`TransientSession::checkpoint`]
-    /// bytes, restoring the captured telemetry into the (fresh) `obs`
-    /// and `trace` sinks. The resumed session finishes bitwise
+    /// bytes, restoring the captured telemetry into the (fresh) `obs`.
+    /// The resumed session finishes bitwise
     /// identically to the uninterrupted one.
     ///
     /// # Errors
@@ -553,23 +486,6 @@ impl TransientSession {
         net: &ThermalNetwork,
         bytes: &[u8],
         obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(net, bytes, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`TransientSession::resume`] that additionally restores the
-    /// sealed span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientSession::resume`].
-    pub fn resume_spanned(
-        net: &ThermalNetwork,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
     ) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(TRANSIENT_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
@@ -607,7 +523,7 @@ impl TransientSession {
                 net.nodes.len()
             )));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        sinks.restore(obs)?;
         Ok(Self {
             clock,
             state,
@@ -733,22 +649,13 @@ mod tests {
         net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(0.5))
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
+        let initial = net.uniform_initial(Celsius::new(0.0));
         let trace = net
-            .solve_transient_observed(
-                Celsius::new(0.0),
-                Seconds::new(10.0),
-                Seconds::new(0.1),
-                &obs,
-            )
+            .solve_transient_from_observed(&initial, Seconds::new(10.0), Seconds::new(0.1), &obs)
             .unwrap();
         // a bad step records an error, not steps
         let _ = net
-            .solve_transient_observed(
-                Celsius::new(0.0),
-                Seconds::new(10.0),
-                Seconds::new(0.0),
-                &obs,
-            )
+            .solve_transient_from_observed(&initial, Seconds::new(10.0), Seconds::new(0.0), &obs)
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("thermal.transient.calls"), 2);
@@ -779,16 +686,13 @@ mod tests {
 
         for k in [0u64, 1, 7, 399, 400] {
             let obs = Registry::new();
-            let trace = rcs_obs::trace::TraceRecorder::new();
             let mut front =
                 TransientSession::new(&net, &initial, Seconds::new(40.0), Seconds::new(0.1))
                     .unwrap();
             front.run(&net, k);
-            let bytes = front.checkpoint(&obs, &trace);
+            let bytes = front.checkpoint(&obs);
 
-            let obs2 = Registry::new();
-            let trace2 = rcs_obs::trace::TraceRecorder::new();
-            let mut back = TransientSession::resume(&net, &bytes, &obs2, &trace2).unwrap();
+            let mut back = TransientSession::resume(&net, &bytes, &Registry::new()).unwrap();
             while back.step(&net) {}
             let resumed = back.into_trace();
 
@@ -822,14 +726,13 @@ mod tests {
         let session =
             TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1)).unwrap();
         let obs = Registry::new();
-        let trace = rcs_obs::trace::TraceRecorder::new();
-        let bytes = session.checkpoint(&obs, &trace);
+        let bytes = session.checkpoint(&obs);
 
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
-        assert!(TransientSession::resume(&net, &corrupt, &obs, &trace).is_err());
-        assert!(TransientSession::resume(&net, &bytes[..bytes.len() - 9], &obs, &trace).is_err());
+        assert!(TransientSession::resume(&net, &corrupt, &obs).is_err());
+        assert!(TransientSession::resume(&net, &bytes[..bytes.len() - 9], &obs).is_err());
 
         // A valid snapshot against the wrong network is rejected too.
         let mut other = ThermalNetwork::new();
@@ -842,7 +745,7 @@ mod tests {
         other
             .connect(y, oamb, ThermalResistance::from_kelvin_per_watt(1.0))
             .unwrap();
-        assert!(TransientSession::resume(&other, &bytes, &obs, &trace).is_err());
+        assert!(TransientSession::resume(&other, &bytes, &obs).is_err());
     }
 
     #[test]

@@ -118,9 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // temperatures, flow, utilization, alarms and actions, one channel
     // each. Set RCS_OBS_TRACE=<file> to export it (NDJSON, or CSV for a
     // .csv path).
-    let obs = rcs_sim::obs::Registry::new();
-    let recorder = rcs_sim::obs::trace::TraceRecorder::new();
-    let outcome = drill.run_traced(&mut Rng::seed_from_u64(7), &obs, &recorder);
+    let obs = rcs_sim::obs::Registry::new().with_trace(rcs_sim::obs::trace::TraceRecorder::new());
+    let outcome = drill.run_observed(&mut Rng::seed_from_u64(7), &obs);
 
     println!("\nhardened drill: {}", outcome.name);
     match outcome.time_to_shutdown {
@@ -138,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    let snapshot = recorder.snapshot();
+    let snapshot = obs.trace().snapshot();
     println!("\nrecorded trace channels:");
     for channel in &snapshot.channels {
         let last = channel.samples.last().map_or(f64::NAN, |s| s.value);

@@ -12,19 +12,18 @@ use rcs_sim::obs::trace::{self, TraceRecorder};
 use rcs_sim::obs::{manifest, Registry};
 use rcs_sim::units::Seconds;
 
-/// One NDJSON stream exactly as `finish_run_traced` writes it when
+/// One NDJSON stream exactly as `finish_run` writes it when
 /// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` point at the same file:
 /// manifest lines first, trace lines appended.
 fn workload_ndjson(seed: u64) -> String {
     let timeline =
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
     let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(8.0));
-    let obs = Registry::new();
-    let recorder = TraceRecorder::new();
-    let _ = drill.run_traced(&mut Rng::seed_from_u64(seed), &obs, &recorder);
+    let obs = Registry::new().with_trace(TraceRecorder::new());
+    let _ = drill.run_observed(&mut Rng::seed_from_u64(seed), &obs);
     let meta = manifest::RunMeta::new("obs_report_test", Some(seed), 1);
     let mut text = manifest::render(&meta, &obs);
-    text.push_str(&trace::render_ndjson(&recorder.snapshot()));
+    text.push_str(&trace::render_ndjson(&obs.trace().snapshot()));
     text
 }
 

@@ -23,37 +23,34 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
+/// A registry recording spans (counters on, trace off).
+fn spanned() -> Registry {
+    Registry::new().with_spans(SpanSink::new())
+}
+
 fn e17_spans(threads: usize) -> String {
-    let obs = Registry::new();
-    let spans = SpanSink::new();
-    let _ = e17_fault_drills::rows_with_threads_spanned(
-        threads,
-        &obs,
-        TraceRecorder::disabled(),
-        &spans,
-    );
-    span::render_ndjson(&spans.snapshot())
+    let obs = spanned();
+    let _ = e17_fault_drills::rows_with_threads_observed(threads, &obs);
+    span::render_ndjson(&obs.spans().snapshot())
 }
 
 fn e18_spans(threads: usize) -> String {
     let queries = e18_query_service::batch();
-    let obs = Registry::new();
-    let spans = SpanSink::new();
+    let obs = spanned();
     let mut engine = rcs_sim::query::QueryEngine::new(e18_query_service::CAPACITY);
     for _ in 0..e18_query_service::ROUNDS {
-        spans.enter("round", &obs);
-        let _ = engine.run_batch_spanned(&queries, threads, &obs, &spans);
-        spans.exit(&obs);
+        obs.enter("round");
+        let _ = engine.run_batch(&queries, threads, &obs);
+        obs.exit();
     }
-    span::render_ndjson(&spans.snapshot())
+    span::render_ndjson(&obs.spans().snapshot())
 }
 
 fn e19_spans(threads: usize) -> String {
     chaos::silence_expected_panics();
-    let obs = Registry::new();
-    let spans = SpanSink::new();
-    let _ = e19_chaos_drill::run_with_threads_spanned(threads, &obs, &spans);
-    span::render_ndjson(&spans.snapshot())
+    let obs = spanned();
+    let _ = e19_chaos_drill::run_with_threads(threads, &obs);
+    span::render_ndjson(&obs.spans().snapshot())
 }
 
 #[test]
@@ -86,11 +83,10 @@ fn e19_span_tree_is_bit_identical_at_1_2_and_4_threads() {
 
 #[test]
 fn e05_span_tree_matches_the_committed_golden() {
-    let obs = Registry::new();
-    let spans = SpanSink::new();
-    let _ = e05_skat_thermal::run_spanned(&obs, TraceRecorder::disabled(), &spans);
+    let obs = spanned();
+    let _ = e05_skat_thermal::run_observed(&obs);
     assert_eq!(
-        span::render_ndjson(&spans.snapshot()),
+        span::render_ndjson(&obs.spans().snapshot()),
         golden("exp_skat_thermal_spans.ndjson")
     );
 }
@@ -105,11 +101,10 @@ fn e18_span_tree_matches_the_committed_golden() {
     // The golden is written by the `exp_query_service` binary, whose
     // rounds run under `round` spans at the ambient thread count — the
     // tree is thread-invariant, so any explicit count reproduces it.
-    let obs = Registry::new();
-    let spans = SpanSink::new();
-    let _ = e18_query_service::run_spanned(&obs, &spans);
+    let obs = spanned();
+    let _ = e18_query_service::run(&obs);
     assert_eq!(
-        span::render_ndjson(&spans.snapshot()),
+        span::render_ndjson(&obs.spans().snapshot()),
         golden("exp_query_service_spans.ndjson")
     );
 }
@@ -126,30 +121,27 @@ fn drill_checkpoint_restore_reproduces_the_straight_span_tree_bitwise() {
     let drill = FaultDrill::skat("resume", timeline, Seconds::minutes(10.0));
 
     let run = |split_at: Option<u64>| -> String {
-        let obs = Registry::new();
-        let trace = TraceRecorder::new();
-        let spans = SpanSink::new();
-        spans.enter("drill.session", &obs);
+        let sinks = || spanned().with_trace(TraceRecorder::new());
+        let obs = sinks();
+        obs.enter("drill.session");
         let mut session =
-            DrillSession::new_spanned(&drill, Rng::seed_from_u64(17), true, &obs, &trace, &spans)
-                .expect("baseline solves");
+            DrillSession::new(&drill, Rng::seed_from_u64(17), true, &obs).expect("baseline solves");
         if let Some(k) = split_at {
-            session.run(&drill, &obs, &trace, k);
-            let bytes = session.checkpoint_spanned(&obs, &trace, &spans);
+            session.run(&drill, &obs, k);
+            let bytes = session.checkpoint(&obs);
             // Fresh sinks: everything recorded so far must come back
             // from the snapshot alone, including the open span stack.
-            let (obs, trace, spans) = (Registry::new(), TraceRecorder::new(), SpanSink::new());
-            let mut session = DrillSession::resume_spanned(&drill, &bytes, &obs, &trace, &spans)
-                .expect("snapshot reopens");
-            session.run(&drill, &obs, &trace, u64::MAX);
+            let obs = sinks();
+            let mut session = DrillSession::resume(&drill, &bytes, &obs).expect("snapshot reopens");
+            session.run(&drill, &obs, u64::MAX);
             let _ = session.finish(&obs);
-            spans.exit(&obs);
-            return span::render_ndjson(&spans.snapshot());
+            obs.exit();
+            return span::render_ndjson(&obs.spans().snapshot());
         }
-        session.run(&drill, &obs, &trace, u64::MAX);
+        session.run(&drill, &obs, u64::MAX);
         let _ = session.finish(&obs);
-        spans.exit(&obs);
-        span::render_ndjson(&spans.snapshot())
+        obs.exit();
+        span::render_ndjson(&obs.spans().snapshot())
     };
 
     let straight = run(None);
@@ -165,10 +157,9 @@ fn drill_checkpoint_restore_reproduces_the_straight_span_tree_bitwise() {
 #[test]
 fn chrome_export_is_valid_deterministic_json_without_wall_clock() {
     let render = || -> String {
-        let obs = Registry::new();
-        let spans = SpanSink::new();
-        let _ = e18_query_service::run_spanned(&obs, &spans);
-        span::render_chrome(&spans.snapshot())
+        let obs = spanned();
+        let _ = e18_query_service::run(&obs);
+        span::render_chrome(&obs.spans().snapshot())
     };
     let doc = render();
     // Two runs are byte-identical: nothing in the export can carry a

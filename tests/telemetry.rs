@@ -11,10 +11,13 @@
 
 use rcs_sim::cooling::faults::{FaultKind, FaultTimeline};
 use rcs_sim::cooling::{availability, risk, CoolingArchitecture, ImmersionBath};
-use rcs_sim::core::experiments::{e05_skat_thermal, e17_fault_drills};
+use rcs_sim::core::experiments::{e05_skat_thermal, e17_fault_drills, run_all_observed, Table};
 use rcs_sim::core::{FaultDrill, ImmersionModel};
 use rcs_sim::numeric::rng::Rng;
-use rcs_sim::obs::{manifest, Registry};
+use rcs_sim::obs::span::SpanSink;
+use rcs_sim::obs::trace::TraceRecorder;
+use rcs_sim::obs::{manifest, Registry, Snapshot};
+use rcs_sim::query::{DesignQuery, QueryEngine, QueryOutcome};
 use rcs_sim::units::Seconds;
 
 /// E5's headline telemetry claim: the SKAT reproduction converges with
@@ -133,51 +136,144 @@ fn fault_drill_matrix_accounts_for_every_cell() {
     assert!(snap.counter("drill.shutdowns") > 0);
 }
 
-/// The disabled sinks are observationally invisible: routing a solve
-/// and a full fault drill through the `*_traced` entry points with
-/// [`Registry::disabled`] + [`TraceRecorder::disabled`] bit-matches the
-/// plain un-observed variants, and nothing is buffered anywhere. (The
-/// companion `rcs-obs` `noalloc` test proves the same calls are also
-/// allocation-free.)
+/// Everything a run shows besides its trace and span files: the
+/// `exp_all` tables and counter snapshot, and for a mixed query batch
+/// at 1 and 4 threads the outcomes and counter snapshot of each.
+struct Observed {
+    tables: Vec<Table>,
+    snapshot: Snapshot,
+    batches: Vec<(Vec<QueryOutcome>, Snapshot)>,
+}
+
+/// A batch mixing every outcome kind: fresh solves, an in-batch
+/// duplicate, a fatally invalid point that degrades onto its cached
+/// neighbour, and — replayed once — cache hits.
+fn mixed_batch() -> Vec<DesignQuery> {
+    let q = |spec: &str| DesignQuery::parse(spec).expect("valid spec");
+    let mut invalid = q("family=skat util=0.8 trials=16 seed=3");
+    invalid.trials = 0;
+    vec![
+        q("family=skat util=0.85 trials=16 seed=3"),
+        q("family=rigel2 util=0.6 trials=16 seed=3"),
+        q("seed=3 trials=16 util=0.85 family=skat"),
+        invalid,
+    ]
+}
+
+/// The mixed batch, twice through one fresh engine at `threads`.
+fn batch_outcomes(threads: usize, obs: &Registry) -> Vec<QueryOutcome> {
+    let mut engine = QueryEngine::new(8);
+    let queries = mixed_batch();
+    let mut outcomes = engine.run_batch(&queries, threads, obs);
+    outcomes.extend(engine.run_batch(&queries, threads, obs));
+    outcomes
+}
+
+/// Runs `exp_all` and the mixed batch, each against a fresh registry
+/// from `registry`.
+fn observe(registry: impl Fn() -> Registry) -> Observed {
+    let obs = registry();
+    let tables = run_all_observed(&obs);
+    let batches = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            let obs = registry();
+            (batch_outcomes(threads, &obs), obs.snapshot())
+        })
+        .collect();
+    Observed {
+        tables,
+        snapshot: obs.snapshot(),
+        batches,
+    }
+}
+
+fn assert_same_outcomes(a: &[QueryOutcome], b: &[QueryOutcome], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(x.bitwise_eq(y), "{what}: request {i}: {x:?} vs {y:?}");
+    }
+}
+
+/// Turning the trace and/or the span sink on is observationally
+/// invisible: the counter snapshot, every table and every query verdict
+/// are bit-identical to a counters-only registry's — at both thread
+/// counts of the batch, and at whatever `RCS_THREADS` the suite runs
+/// `exp_all` under (CI runs it at 1 and 4).
+#[test]
+fn trace_and_spans_never_change_counters_tables_or_verdicts() {
+    let reference = observe(Registry::new);
+    assert!(!reference.snapshot.is_empty());
+    let outcomes = &reference.batches[0].0;
+    assert!(
+        outcomes.iter().any(QueryOutcome::is_degraded),
+        "{outcomes:?}"
+    );
+    let variants = [
+        (
+            "trace",
+            observe(|| Registry::new().with_trace(TraceRecorder::new())),
+        ),
+        (
+            "spans",
+            observe(|| Registry::new().with_spans(SpanSink::new())),
+        ),
+        (
+            "trace+spans",
+            observe(|| {
+                Registry::new()
+                    .with_trace(TraceRecorder::new())
+                    .with_spans(SpanSink::new())
+            }),
+        ),
+    ];
+    for (name, got) in variants {
+        assert!(got.tables == reference.tables, "{name}: tables changed");
+        assert_eq!(got.snapshot, reference.snapshot, "{name}: counters changed");
+        for ((outcomes, snap), (ref_outcomes, ref_snap)) in
+            got.batches.iter().zip(&reference.batches)
+        {
+            assert_same_outcomes(outcomes, ref_outcomes, name);
+            assert_eq!(snap, ref_snap, "{name}: batch counters changed");
+        }
+    }
+}
+
+/// The disabled registry is observationally invisible too: with every
+/// sink off, `exp_all` renders the same tables and the mixed batch
+/// returns the same verdicts as with every sink on, and nothing is
+/// buffered anywhere. (The `rcs-obs` `noalloc` test proves the same
+/// calls are also allocation-free.)
 #[test]
 fn disabled_sinks_bit_match_the_unobserved_entry_points() {
-    use rcs_sim::obs::trace::TraceRecorder;
-
-    let model = ImmersionModel::skat();
-    let plain = model.solve_robust().expect("SKAT converges");
-    let traced = model
-        .solve_robust_traced(Registry::disabled(), TraceRecorder::disabled())
-        .expect("SKAT converges");
-    assert_eq!(plain, traced);
-
-    let timeline =
-        FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
-    let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(20.0));
-    let plain = drill.run(&mut Rng::seed_from_u64(7));
-    let traced = drill.run_traced(
-        &mut Rng::seed_from_u64(7),
-        Registry::disabled(),
-        TraceRecorder::disabled(),
-    );
-    assert_eq!(plain, traced);
-
-    // the shared sinks buffered nothing while doing all of that
-    assert!(Registry::disabled().snapshot().is_empty());
-    assert!(TraceRecorder::disabled().snapshot().is_empty());
+    let enabled = observe(|| {
+        Registry::new()
+            .with_trace(TraceRecorder::new())
+            .with_spans(SpanSink::new())
+    });
+    let off = Registry::disabled();
+    assert!(run_all_observed(off) == enabled.tables, "tables changed");
+    for (threads, (ref_outcomes, _)) in [1, 4].into_iter().zip(&enabled.batches) {
+        assert_same_outcomes(&batch_outcomes(threads, off), ref_outcomes, "disabled");
+    }
+    assert!(off.snapshot().is_empty());
+    assert!(off.trace().snapshot().is_empty());
+    assert!(off.spans().snapshot().is_empty());
 }
 
 /// The NDJSON manifest is grep-stable: golden `counter`/`histogram`
-/// lines are independent of wall-clock timings, and the run header
-/// carries seed and thread count.
+/// lines are independent of the non-golden notes (worker counts and
+/// other machine-dependent gauges), and the run header carries seed and
+/// thread count.
 #[test]
 fn manifest_golden_lines_ignore_wall_clock() {
     let meta = manifest::RunMeta::new("telemetry_test", Some(99), 4);
     let a = Registry::new();
     let b = Registry::new();
-    for obs in [&a, &b] {
+    for (obs, workers) in [(&a, 1), (&b, 8)] {
         obs.inc("demo.calls");
         obs.record_histogram("demo.size", &[1, 2, 4], 3);
-        let _span = obs.span("demo.total");
+        obs.note("parallel.workers", workers);
     }
     let golden = |text: &str| {
         text.lines()
@@ -191,6 +287,7 @@ fn manifest_golden_lines_ignore_wall_clock() {
         golden(&manifest::render(&meta, &a)),
         golden(&manifest::render(&meta, &b))
     );
+    assert_ne!(manifest::render(&meta, &a), manifest::render(&meta, &b));
     assert!(manifest::render(&meta, &a).starts_with(
         "{\"type\":\"run\",\"experiment\":\"telemetry_test\",\"seed\":99,\"threads\":4,"
     ));

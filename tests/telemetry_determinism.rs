@@ -58,10 +58,9 @@ fn availability_mc_telemetry_is_identical_at_1_2_and_4_threads() {
 }
 
 fn drill_matrix_trace(threads: usize) -> (TraceSnapshot, profile::ProfileNode) {
-    let obs = Registry::new();
-    let trace = TraceRecorder::new();
-    let _ = e17_fault_drills::rows_with_threads_traced(threads, &obs, &trace);
-    (trace.snapshot(), profile::tree(&obs.snapshot()))
+    let obs = Registry::new().with_trace(TraceRecorder::new());
+    let _ = e17_fault_drills::rows_with_threads_observed(threads, &obs);
+    (obs.trace().snapshot(), profile::tree(&obs.snapshot()))
 }
 
 /// The traced E17 matrix: every per-cell channel (temperatures, flows,
@@ -88,10 +87,9 @@ fn mc_trace(threads: usize) -> (TraceSnapshot, profile::ProfileNode) {
     let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
         ColdPlateLoop::per_chip_plates(96),
     ));
-    let obs = Registry::new();
-    let trace = TraceRecorder::new();
-    let _ = availability::monte_carlo_traced(&classes, 5.0, 2000, 20180401, threads, &obs, &trace);
-    (trace.snapshot(), profile::tree(&obs.snapshot()))
+    let obs = Registry::new().with_trace(TraceRecorder::new());
+    let _ = availability::monte_carlo_observed(&classes, 5.0, 2000, 20180401, threads, &obs);
+    (obs.trace().snapshot(), profile::tree(&obs.snapshot()))
 }
 
 /// The traced Monte-Carlo study: the decimated per-trial availability

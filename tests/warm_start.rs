@@ -46,7 +46,7 @@ fn sweep(warm: bool) -> Vec<HydraulicSolution> {
     let water = Coolant::water().state(Celsius::new(20.0));
     let valve = plan.loop_branches[0];
     plan.network
-        .solve_sweep(OPENINGS.len(), warm, |net, i| {
+        .solve_sweep(OPENINGS.len(), warm, Registry::disabled(), |net, i| {
             net.set_valve_opening(valve, OPENINGS[i]).unwrap();
             water
         })
@@ -141,7 +141,7 @@ fn warm_sweep_work_counters_drop() {
         let valve_target = plan.loop_branches[0];
         let obs = Registry::new();
         plan.network
-            .solve_sweep_observed(OPENINGS.len(), warm, &obs, |net, i| {
+            .solve_sweep(OPENINGS.len(), warm, &obs, |net, i| {
                 let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
                 water
             })
