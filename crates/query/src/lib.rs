@@ -597,9 +597,10 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
 /// the standard robust solve; attempts ≥ 1 re-run the coupled fixed
 /// point under `RETRY_RUNGS` damping, trading iterations for
 /// stability. The solvers record counters and traces into `obs` but no
-/// spans: the engine attributes work to whole attempts. Inputs are validated *before* any solver runs, so a
-/// poisoned query (NaN utilization, zero trials) fails fast as the
-/// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
+/// spans: the engine attributes work to whole attempts. Inputs are
+/// validated *before* any solver runs, so a poisoned query (NaN
+/// utilization, zero trials) fails fast as the fatal
+/// [`QueryError::InvalidDesign`] instead of panicking a worker.
 ///
 /// # Errors
 ///
