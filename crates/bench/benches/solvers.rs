@@ -7,7 +7,7 @@ use std::hint::black_box;
 use rcs_bench::Harness;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{layout, SolveOptions, SolverEngine};
+use rcs_hydraulics::{layout, SolveOptions};
 use rcs_numeric::Matrix;
 use rcs_obs::Registry;
 use rcs_thermal::ThermalNetwork;
@@ -95,30 +95,24 @@ fn bench_coupled_immersion(h: &mut Harness) {
     });
 }
 
-/// The sparse graph-elimination kernel against the dense reference on
-/// the same manifold, sharing one analyzed context across solves (the
-/// production shape: symbolic once, numeric per Newton iteration).
-fn bench_sparse_vs_dense_manifold(h: &mut Harness) {
+/// The sparse graph-elimination kernel on the reverse-return manifold,
+/// sharing one analyzed context across solves (the production shape:
+/// symbolic once, numeric per Newton iteration).
+fn bench_sparse_manifold(h: &mut Harness) {
     let water = Coolant::water().state(Celsius::new(20.0));
     for loops in [6usize, 12, 24] {
         let plan = layout::rack_manifold(loops, layout::ReturnStyle::Reverse);
-        for engine in [SolverEngine::Sparse, SolverEngine::Dense] {
-            let tag = match engine {
-                SolverEngine::Sparse => "sparse",
-                SolverEngine::Dense => "dense",
-            };
-            let mut ctx = plan.network.solver_context_with(engine);
-            h.bench(&format!("hydraulic_manifold_{tag}/{loops}"), || {
-                // cold every time: isolate the per-solve elimination cost
-                ctx.clear_seed();
-                let opts = SolveOptions::default();
-                let solution = plan
-                    .network
-                    .solve_with(black_box(&water), &opts, &mut ctx, Registry::disabled())
-                    .unwrap();
-                black_box(solution)
-            });
-        }
+        let mut ctx = plan.network.solver_context();
+        h.bench(&format!("hydraulic_manifold_sparse/{loops}"), || {
+            // cold every time: isolate the per-solve elimination cost
+            ctx.clear_seed();
+            let opts = SolveOptions::default();
+            let solution = plan
+                .network
+                .solve_with(black_box(&water), &opts, &mut ctx, Registry::disabled())
+                .unwrap();
+            black_box(solution)
+        });
     }
 }
 
@@ -160,7 +154,7 @@ fn main() {
     bench_thermal_steady(&mut h);
     bench_thermal_transient(&mut h);
     bench_hydraulic_manifold(&mut h);
-    bench_sparse_vs_dense_manifold(&mut h);
+    bench_sparse_manifold(&mut h);
     bench_hydraulic_sweep(&mut h);
     bench_coupled_immersion(&mut h);
     h.finish();

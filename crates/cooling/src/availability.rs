@@ -115,43 +115,20 @@ pub fn monte_carlo(
     trials: usize,
     seed: u64,
 ) -> AvailabilityReport {
-    monte_carlo_with_threads(
-        classes,
-        horizon_years,
-        trials,
-        seed,
-        rcs_parallel::thread_count(),
-    )
-}
-
-/// [`monte_carlo`] with an explicit worker count.
-///
-/// The report is bit-identical for every `threads` value; the
-/// determinism tests assert this across 1/2/4/7 workers.
-///
-/// # Panics
-///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
-#[must_use]
-pub fn monte_carlo_with_threads(
-    classes: &[FailureClass],
-    horizon_years: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> AvailabilityReport {
     monte_carlo_observed(
         classes,
         horizon_years,
         trials,
         seed,
-        threads,
+        rcs_parallel::thread_count(),
         Registry::disabled(),
     )
 }
 
-/// [`monte_carlo_with_threads`] with telemetry recorded into `obs` —
-/// all golden-channel integers, bit-identical at any `threads`:
+/// [`monte_carlo`] on `threads` workers with telemetry recorded into
+/// `obs`. The report is bit-identical for every `threads` value (the
+/// determinism tests assert this across 1/2/4/7 workers), and so is
+/// the telemetry — all golden-channel integers:
 ///
 /// - `mc.runs`, `mc.trials`, `mc.chunks` — workload shape (a function
 ///   of `trials` alone, never of the thread count);
@@ -334,12 +311,6 @@ impl McSession {
         self.clock.is_finished()
     }
 
-    /// Chunks completed so far.
-    #[must_use]
-    pub fn chunks_done(&self) -> u64 {
-        self.clock.next_index()
-    }
-
     /// Reduces the accumulated trials into the final report.
     ///
     /// # Panics
@@ -461,9 +432,11 @@ mod tests {
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
-        let serial = monte_carlo_with_threads(&classes, 5.0, 700, 42, 1);
+        let run =
+            |threads| monte_carlo_observed(&classes, 5.0, 700, 42, threads, Registry::disabled());
+        let serial = run(1);
         for threads in [2, 4, 7] {
-            let parallel = monte_carlo_with_threads(&classes, 5.0, 700, 42, threads);
+            let parallel = run(threads);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }

@@ -52,9 +52,14 @@ fn run(split: bool) -> (Vec<Table>, Registry) {
     net.add_heat(chip, Power::from_watts(350.0))
         .expect("internal node");
     let initial = net.uniform_initial(Celsius::new(25.0));
-    let mut session =
-        TransientSession::new(&net, &initial, Seconds::new(120.0), Seconds::new(0.25))
-            .expect("valid transient problem");
+    let mut session = TransientSession::new(
+        &net,
+        &initial,
+        Seconds::new(120.0),
+        Seconds::new(0.25),
+        Registry::disabled(),
+    )
+    .expect("valid transient problem");
     obs.enter("thermal.transient");
     if split {
         session.run(&net, 240);

@@ -70,6 +70,8 @@ pub enum HydraulicError {
     },
     /// A branch was built with no elements.
     EmptyBranch,
+    /// The network has no junctions, so there is nothing to solve.
+    EmptyNetwork,
     /// The Newton iteration failed to reach the continuity tolerance.
     NoConvergence {
         /// Iterations performed.
@@ -95,6 +97,7 @@ impl core::fmt::Display for HydraulicError {
             Self::SelfLoop { index } => write!(f, "branch connects junction {index} to itself"),
             Self::NonPositiveParameter { parameter } => write!(f, "non-positive {parameter}"),
             Self::EmptyBranch => write!(f, "branch has no elements"),
+            Self::EmptyNetwork => write!(f, "network has no junctions"),
             Self::NoConvergence { iterations, residual } => write!(
                 f,
                 "flow solver did not converge after {iterations} iterations (residual {residual:.3e} m³/s)"

@@ -10,10 +10,12 @@
 //!   losses, trim/balancing [`Valve`]s and [`PumpCurve`]s.
 //! - A damped global-gradient (Todini-style Newton) solver,
 //!   [`HydraulicNetwork::solve`], returning per-branch flows and nodal
-//!   pressures with mass-conservation residuals. Repeated solves of the
-//!   same topology reuse a [`SolverContext`] — a cached sparse
-//!   elimination schedule plus a warm-start seed from the neighboring
-//!   solution ([`HydraulicNetwork::solve_with`],
+//!   pressures with mass-conservation residuals. Each Newton iteration
+//!   solves the nodal system with one kernel, sparse graph elimination;
+//!   the unit tests check it bit for bit against a dense reference.
+//!   Repeated solves of the same topology reuse a [`SolverContext`] — a
+//!   cached sparse elimination schedule plus a warm-start seed from the
+//!   neighboring solution ([`HydraulicNetwork::solve_with`],
 //!   [`HydraulicNetwork::solve_sweep`]).
 //! - [`layout`] — builders for the two manifold topologies the paper
 //!   compares: conventional **direct-return** and the suggested
@@ -55,4 +57,4 @@ pub use elements::{Element, Pipe, PumpCurve, Valve};
 pub use error::{ConvergenceDiagnostics, HydraulicError, SolveAttempt};
 pub use network::{BranchId, HydraulicNetwork, JunctionId};
 pub use solution::HydraulicSolution;
-pub use solver::{SolveOptions, SolverContext, SolverEngine};
+pub use solver::{SolveOptions, SolverContext};

@@ -9,10 +9,11 @@
 //! The nodal system is solved with sparse graph elimination over the
 //! node incidence structure ([`rcs_numeric::SparseSymbolic`]): the
 //! symbolic factorization is analyzed once per topology and replayed
-//! per Newton iteration. The elimination schedule mirrors the dense
-//! loop order exactly, so the sparse path is bit-identical to the dense
-//! reference ([`SolverEngine::Dense`], kept as a cross-check) on the
-//! diagonally dominant systems the assembly produces.
+//! per Newton iteration. The elimination schedule mirrors the loop
+//! order of dense partial-pivoting elimination exactly, so on the
+//! diagonally dominant systems the assembly produces the two agree
+//! bit for bit; this module's unit tests keep a dense nodal kernel as
+//! the reference the sparse one is checked against.
 //!
 //! Repeated solves — parameter sweeps, coupled fixed points, failure
 //! studies — reuse a [`SolverContext`]: the symbolic factorization is
@@ -32,7 +33,7 @@
 //! [`ConvergenceDiagnostics`]: crate::error::ConvergenceDiagnostics
 
 use rcs_fluids::FluidState;
-use rcs_numeric::{Matrix, SparseSymbolic};
+use rcs_numeric::{NumericError, SparseSymbolic};
 use rcs_obs::{residual_decade, Registry};
 use rcs_units::VolumeFlow;
 
@@ -98,27 +99,9 @@ impl SolveOptions {
     }
 }
 
-/// Which linear-algebra kernel factors the nodal system.
-///
-/// The two engines perform the same arithmetic in the same order on the
-/// diagonally dominant systems the assembly produces (dense partial
-/// pivoting never swaps rows there), so they agree bit-for-bit; the
-/// dense path survives as the independent cross-check the sparse
-/// schedule is validated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverEngine {
-    /// Sparse graph elimination with a precomputed symbolic schedule
-    /// (the default — O(nnz) per iteration instead of O(n³)).
-    #[default]
-    Sparse,
-    /// Dense Gaussian elimination with partial pivoting
-    /// ([`rcs_numeric::Matrix::solve`]), the reference path.
-    Dense,
-}
-
 /// Precomputed per-branch assembly plan: the unknown-column of each
-/// endpoint and, for the sparse engine, the value-array indices the
-/// branch conductance scatters into.
+/// endpoint and the sparse value-array indices the branch conductance
+/// scatters into.
 #[derive(Debug, Clone, Copy)]
 struct BranchScatter {
     /// Unknown column of the `from` junction (`None` = reference).
@@ -137,11 +120,13 @@ struct BranchScatter {
 
 /// Reusable solver state bound to one network topology.
 ///
-/// Holds the symbolic factorization (analyzed once, replayed every
-/// Newton iteration and ladder rung), the per-branch assembly plan, the
-/// numeric workspaces, and the **warm-start seed**: after a successful
-/// solve the converged flows are kept and the next solve through this
-/// context starts from them instead of from the cold uniform guess.
+/// Holds the sparse symbolic factorization (analyzed once, replayed
+/// every Newton iteration and ladder rung), the per-branch assembly
+/// plan, the numeric workspaces, and the **warm-start seed**: after a
+/// successful solve the converged flows are kept and the next solve
+/// through this context starts from them instead of from the cold
+/// uniform guess. A converged solve that started from the seed records
+/// one `hydraulics.warm_starts` work unit into its registry.
 ///
 /// The context revalidates itself against the network on every solve:
 /// if the topology changed (junctions, branches, openness, reference)
@@ -181,7 +166,6 @@ struct BranchScatter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverContext {
-    engine: SolverEngine,
     // -- topology fingerprint --
     n_junctions: usize,
     reference: usize,
@@ -190,8 +174,8 @@ pub struct SolverContext {
     unknowns: Vec<usize>,
     touched: Vec<bool>,
     scatter: Vec<BranchScatter>,
-    symbolic: Option<SparseSymbolic>,
-    // -- numeric workspaces (sparse engine) --
+    symbolic: SparseSymbolic,
+    // -- numeric workspaces --
     values: Vec<f64>,
     rhs: Vec<f64>,
     // -- warm state --
@@ -199,7 +183,7 @@ pub struct SolverContext {
 }
 
 impl SolverContext {
-    fn build(net: &HydraulicNetwork, engine: SolverEngine, warm: Option<Vec<f64>>) -> Self {
+    fn build(net: &HydraulicNetwork, warm: Option<Vec<f64>>) -> Self {
         let n_junctions = net.junctions.len();
         let reference = net.reference.map_or(0, |r| r.0);
         let openness: Vec<bool> = net.branches.iter().map(|b| b.open).collect();
@@ -214,22 +198,16 @@ impl SolverContext {
             touched[b.to.0] = true;
         }
 
-        let symbolic = match engine {
-            SolverEngine::Dense => None,
-            SolverEngine::Sparse => {
-                // Open-branch incidence only: exactly the edges whose
-                // conductances the assembly scatters. Closed branches
-                // contribute nothing (matching the dense assembly), so
-                // openness is part of the fingerprint above.
-                let edges: Vec<(usize, usize)> = net
-                    .branches
-                    .iter()
-                    .filter(|b| b.open)
-                    .filter_map(|b| Some((col_of[b.from.0]?, col_of[b.to.0]?)))
-                    .collect();
-                Some(SparseSymbolic::analyze(unknowns.len(), &edges))
-            }
-        };
+        // Open-branch incidence only: exactly the edges whose
+        // conductances the assembly scatters. Closed branches contribute
+        // nothing, so openness is part of the fingerprint above.
+        let edges: Vec<(usize, usize)> = net
+            .branches
+            .iter()
+            .filter(|b| b.open)
+            .filter_map(|b| Some((col_of[b.from.0]?, col_of[b.to.0]?)))
+            .collect();
+        let symbolic = SparseSymbolic::analyze(unknowns.len(), &edges);
         let scatter = net
             .branches
             .iter()
@@ -237,8 +215,8 @@ impl SolverContext {
                 let ci = col_of[b.from.0];
                 let cj = col_of[b.to.0];
                 let idx = |r: Option<usize>, c: Option<usize>| -> usize {
-                    match (&symbolic, r, c, b.open) {
-                        (Some(sym), Some(r), Some(c), true) => sym
+                    match (r, c, b.open) {
+                        (Some(r), Some(c), true) => symbolic
                             .index_of(r, c)
                             .expect("open-branch incidence is structural"),
                         _ => 0,
@@ -255,10 +233,9 @@ impl SolverContext {
             })
             .collect();
 
-        let nnz = symbolic.as_ref().map_or(0, SparseSymbolic::nnz);
+        let nnz = symbolic.nnz();
         let n = unknowns.len();
         Self {
-            engine,
             n_junctions,
             reference,
             openness,
@@ -295,7 +272,7 @@ impl SolverContext {
             .warm_flows
             .take()
             .filter(|w| w.len() == net.branches.len());
-        *self = Self::build(net, self.engine, warm);
+        *self = Self::build(net, warm);
     }
 
     /// Consumes the warm seed if it is usable for `net`.
@@ -303,19 +280,6 @@ impl SolverContext {
         self.warm_flows
             .take()
             .filter(|w| w.len() == net.branches.len() && w.iter().all(|q| q.is_finite()))
-    }
-
-    /// The engine this context factors with.
-    #[must_use]
-    pub fn engine(&self) -> SolverEngine {
-        self.engine
-    }
-
-    /// `true` if the next solve through this context will start from a
-    /// previous solution's flows.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.warm_flows.is_some()
     }
 
     /// Drops the warm-start seed: the next solve starts cold.
@@ -358,20 +322,12 @@ struct SolveOutcome {
 }
 
 impl HydraulicNetwork {
-    /// Builds a reusable [`SolverContext`] for this topology with the
-    /// default (sparse) engine. Reuse it across repeated solves to
-    /// share the symbolic factorization and warm-start each solve from
-    /// the previous solution.
+    /// Builds a reusable [`SolverContext`] for this topology. Reuse it
+    /// across repeated solves to share the symbolic factorization and
+    /// warm-start each solve from the previous solution.
     #[must_use]
     pub fn solver_context(&self) -> SolverContext {
-        self.solver_context_with(SolverEngine::default())
-    }
-
-    /// [`HydraulicNetwork::solver_context`] with an explicit engine
-    /// (the dense path is the cross-check reference).
-    #[must_use]
-    pub fn solver_context_with(&self, engine: SolverEngine) -> SolverContext {
-        SolverContext::build(self, engine, None)
+        SolverContext::build(self, None)
     }
 
     /// Solves the steady flow distribution for the given fluid state:
@@ -380,9 +336,10 @@ impl HydraulicNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`HydraulicError::NoConvergence`] if the continuity residual
-    /// does not fall below tolerance, and propagates singular-matrix
-    /// failures from degenerate networks.
+    /// Returns [`HydraulicError::EmptyNetwork`] for a network without
+    /// junctions, [`HydraulicError::NoConvergence`] if the continuity
+    /// residual does not fall below tolerance, and propagates
+    /// singular-matrix failures from degenerate networks.
     pub fn solve(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
         self.solve_with(
             fluid,
@@ -416,7 +373,7 @@ impl HydraulicNetwork {
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
         obs.inc("hydraulics.solve.calls");
-        match self.solve_inner(fluid, opts, ctx) {
+        match self.solve_inner(fluid, opts, ctx, Self::solve_nodal_sparse) {
             Ok(outcome) => {
                 let solution = outcome.solution;
                 obs.inc("hydraulics.solve.converged");
@@ -516,7 +473,7 @@ impl HydraulicNetwork {
         let mut attempts = Vec::new();
         let mut last_failure: Option<SolveFailure> = None;
         for (rung, opts) in rungs.iter().enumerate() {
-            match self.solve_inner(fluid, opts, ctx) {
+            match self.solve_inner(fluid, opts, ctx, Self::solve_nodal_sparse) {
                 Ok(outcome) => {
                     let solution = outcome.solution;
                     obs.inc("hydraulics.ladder.converged");
@@ -606,12 +563,23 @@ impl HydraulicNetwork {
         Ok(out)
     }
 
-    fn solve_inner(
+    /// One Newton attempt. `nodal` assembles and solves the linearized
+    /// nodal system for the unknown pressures: the entry points pass
+    /// [`HydraulicNetwork::solve_nodal_sparse`], and the unit tests pass
+    /// a dense reference kernel through the same loop.
+    fn solve_inner<N>(
         &self,
         fluid: &FluidState,
         opts: &SolveOptions,
         ctx: &mut SolverContext,
-    ) -> Result<SolveOutcome, InnerError> {
+        nodal: N,
+    ) -> Result<SolveOutcome, InnerError>
+    where
+        N: Fn(&Self, &mut SolverContext, &[f64], &[f64], &[f64]) -> Result<Vec<f64>, NumericError>,
+    {
+        if self.junctions.is_empty() {
+            return Err(InnerError::Other(HydraulicError::EmptyNetwork));
+        }
         ctx.ensure(self);
         let n_junctions = self.junctions.len();
         let reference = ctx.reference;
@@ -661,16 +629,10 @@ impl HydraulicNetwork {
             }
 
             // Assemble and solve the nodal system A p = rhs over the
-            // unknown junctions with the context's engine.
+            // unknown junctions.
             if n > 0 {
-                let p = match ctx.engine {
-                    SolverEngine::Sparse => self
-                        .solve_nodal_sparse(ctx, &flows, &h, &d)
-                        .map_err(|e| InnerError::Other(e.into()))?,
-                    SolverEngine::Dense => self
-                        .solve_nodal_dense(ctx, &flows, &h, &d)
-                        .map_err(|e| InnerError::Other(e.into()))?,
-                };
+                let p =
+                    nodal(self, ctx, &flows, &h, &d).map_err(|e| InnerError::Other(e.into()))?;
                 for (c, &j) in ctx.unknowns.iter().enumerate() {
                     pressures[j] = p[c];
                 }
@@ -750,19 +712,18 @@ impl HydraulicNetwork {
         }))
     }
 
-    /// One nodal solve on the sparse engine: scatter the linearized
-    /// conductances into the context's value workspace (same branch
-    /// order as the dense assembly, so the accumulated sums are
-    /// bit-identical), pin isolated rows, and replay the precomputed
-    /// elimination schedule.
+    /// One nodal solve: scatter the linearized conductances into the
+    /// context's value workspace (in branch order, so the accumulated
+    /// sums are bit-identical to a dense assembly), pin isolated rows,
+    /// and replay the precomputed elimination schedule.
     fn solve_nodal_sparse(
         &self,
         ctx: &mut SolverContext,
         flows: &[f64],
         h: &[f64],
         d: &[f64],
-    ) -> Result<Vec<f64>, rcs_numeric::NumericError> {
-        let sym = ctx.symbolic.as_ref().expect("sparse context has a plan");
+    ) -> Result<Vec<f64>, NumericError> {
+        let sym = &ctx.symbolic;
         ctx.values.fill(0.0);
         ctx.rhs.fill(0.0);
         for (k, b) in self.branches.iter().enumerate() {
@@ -799,21 +760,36 @@ impl HydraulicNetwork {
         sym.factor_solve(&mut ctx.values, &mut ctx.rhs)?;
         Ok(ctx.rhs.clone())
     }
+}
 
-    /// One nodal solve on the dense reference engine — the historical
-    /// assembly, kept as the cross-check the sparse schedule is
-    /// validated against.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::elements::{Element, Pipe, PumpCurve, Valve};
+    use rcs_fluids::Coolant;
+    use rcs_numeric::Matrix;
+    use rcs_testkit::check_cases;
+    use rcs_units::{Celsius, Length, Pressure};
+
+    fn water() -> FluidState {
+        Coolant::water().state(Celsius::new(20.0))
+    }
+
+    /// The dense reference nodal kernel: the same assembly as
+    /// [`HydraulicNetwork::solve_nodal_sparse`] into a dense matrix,
+    /// solved by Gaussian elimination with partial pivoting. It is the
+    /// independent cross-check the sparse schedule is validated against.
     fn solve_nodal_dense(
-        &self,
-        ctx: &SolverContext,
+        net: &HydraulicNetwork,
+        ctx: &mut SolverContext,
         flows: &[f64],
         h: &[f64],
         d: &[f64],
-    ) -> Result<Vec<f64>, rcs_numeric::NumericError> {
+    ) -> Result<Vec<f64>, NumericError> {
         let n = ctx.unknowns.len();
         let mut a = Matrix::zeros(n.max(1), n.max(1));
         let mut rhs = vec![0.0; n.max(1)];
-        for (k, b) in self.branches.iter().enumerate() {
+        for (k, b) in net.branches.iter().enumerate() {
             if !b.open {
                 continue;
             }
@@ -842,17 +818,16 @@ impl HydraulicNetwork {
         }
         a.solve(&rhs)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::elements::{Element, Pipe, PumpCurve, Valve};
-    use rcs_fluids::Coolant;
-    use rcs_units::{Celsius, Length, Pressure};
-
-    fn water() -> FluidState {
-        Coolant::water().state(Celsius::new(20.0))
+    /// One cold default attempt on the dense reference kernel — the
+    /// oracle counterpart of [`HydraulicNetwork::solve`].
+    fn solve_dense(net: &HydraulicNetwork) -> HydraulicSolution {
+        let opts = SolveOptions::default();
+        let mut ctx = net.solver_context();
+        let Ok(outcome) = net.solve_inner(&water(), &opts, &mut ctx, solve_nodal_dense) else {
+            panic!("the dense reference must converge");
+        };
+        outcome.solution
     }
 
     /// One default attempt through `ctx`, unobserved.
@@ -1235,10 +1210,8 @@ mod tests {
     #[test]
     fn sparse_and_dense_engines_agree_bitwise_on_cold_solves() {
         let (net, ids) = branched_net();
-        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-        let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = solve_in(&net, &mut sparse).unwrap();
-        let d = solve_in(&net, &mut dense).unwrap();
+        let s = net.solve(&water()).unwrap();
+        let d = solve_dense(&net);
         assert_eq!(s.iterations(), d.iterations());
         for &b in &ids {
             assert_eq!(
@@ -1272,8 +1245,15 @@ mod tests {
         let (net, ids) = branched_net();
         let mut ctx = net.solver_context();
         let cold = solve_in(&net, &mut ctx).unwrap();
-        assert!(ctx.is_warm());
-        let warm = solve_in(&net, &mut ctx).unwrap();
+        let obs = Registry::new();
+        let warm = net
+            .solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
+            .unwrap();
+        assert_eq!(
+            obs.snapshot().counter("profile.hydraulics.warm_starts"),
+            1,
+            "a converged solve leaves its flows as the next seed"
+        );
         assert!(
             warm.iterations() < cold.iterations(),
             "warm {} vs cold {}",
@@ -1318,15 +1298,21 @@ mod tests {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
         solve_in(&net, &mut ctx).unwrap();
-        assert!(ctx.is_warm());
         // a starved warm attempt fails and must not leave a stale seed
         let starved = SolveOptions::damped(0.7, 1);
         let _ = net
             .solve_with(&water(), &starved, &mut ctx, Registry::disabled())
             .unwrap_err();
-        assert!(!ctx.is_warm(), "failed attempts must clear the seed");
         // the next solve is cold and matches the stateless path bitwise
-        let recovered = solve_in(&net, &mut ctx).unwrap();
+        let obs = Registry::new();
+        let recovered = net
+            .solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
+            .unwrap();
+        assert_eq!(
+            obs.snapshot().counter("profile.hydraulics.warm_starts"),
+            0,
+            "failed attempts must clear the seed"
+        );
         let stateless = net.solve(&water()).unwrap();
         assert_eq!(recovered.iterations(), stateless.iterations());
     }
@@ -1416,10 +1402,8 @@ mod tests {
             .add_branch("spur", b, spur_end, vec![pipe(5.0)])
             .unwrap();
         net.set_branch_open(spur, false).unwrap();
-        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-        let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = solve_in(&net, &mut sparse).unwrap();
-        let d = solve_in(&net, &mut dense).unwrap();
+        let s = net.solve(&water()).unwrap();
+        let d = solve_dense(&net);
         for j in [stranded, spur_end] {
             assert_eq!(s.pressure(j).pascals(), 0.0);
             assert_eq!(d.pressure(j).pascals(), 0.0);
@@ -1435,5 +1419,119 @@ mod tests {
                 .map(|q| q.cubic_meters_per_second())
                 .sum::<f64>()
         );
+    }
+
+    /// The sparse kernel must agree with the dense reference on every
+    /// randomized topology and open/close pattern — including the
+    /// isolated-junction class, where a junction's last open branch
+    /// closes and the node must be pinned to the reference pressure by
+    /// both kernels identically.
+    #[test]
+    fn sparse_and_dense_agree_under_random_branch_outages() {
+        check_cases(
+            "sparse_and_dense_agree_under_random_branch_outages",
+            64,
+            |g| {
+                let loops = g.draw(2usize..=6);
+                let mut net = HydraulicNetwork::new();
+                // supply/return headers with one loop and one dead-end spur
+                // per station; spurs and loops open or close independently
+                let supply: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("s{i}")))
+                    .collect();
+                let ret: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("r{i}")))
+                    .collect();
+                let spurs: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("x{i}")))
+                    .collect();
+                let pipe = |len: f64| {
+                    Element::Pipe(Pipe::smooth(
+                        Length::from_meters(len),
+                        Length::millimeters(20.0),
+                    ))
+                };
+                for i in 0..loops - 1 {
+                    let run = g.draw(0.5..4.0f64);
+                    net.add_branch(format!("sh{i}"), supply[i], supply[i + 1], vec![pipe(run)])
+                        .unwrap();
+                    net.add_branch(format!("rh{i}"), ret[i + 1], ret[i], vec![pipe(run)])
+                        .unwrap();
+                }
+                let mut loop_ids = Vec::new();
+                let mut spur_ids = Vec::new();
+                for i in 0..loops {
+                    let len = g.draw(2.0..25.0f64);
+                    loop_ids.push(
+                        net.add_branch(format!("loop{i}"), supply[i], ret[i], vec![pipe(len)])
+                            .unwrap(),
+                    );
+                    spur_ids.push(
+                        net.add_branch(format!("spur{i}"), supply[i], spurs[i], vec![pipe(1.0)])
+                            .unwrap(),
+                    );
+                }
+                net.add_branch(
+                    "pump",
+                    ret[0],
+                    supply[0],
+                    vec![Element::Pump(PumpCurve::new(
+                        Pressure::kilopascals(g.draw(40.0..120.0f64)),
+                        VolumeFlow::liters_per_minute(400.0),
+                    ))],
+                )
+                .unwrap();
+                // random outages: keep loop 0 so the pump always has a
+                // circuit; every spur is a dead end, so closing one
+                // isolates its junction
+                let mut closed_spurs = Vec::new();
+                for &id in &loop_ids[1..] {
+                    if g.draw(0.0..1.0f64) < 0.35 {
+                        net.set_branch_open(id, false).unwrap();
+                    }
+                }
+                for (i, &id) in spur_ids.iter().enumerate() {
+                    if g.draw(0.0..1.0f64) < 0.5 {
+                        net.set_branch_open(id, false).unwrap();
+                        closed_spurs.push(i);
+                    }
+                }
+
+                let s = net.solve(&water()).unwrap();
+                let d = solve_dense(&net);
+                assert_eq!(s.iterations(), d.iterations());
+                for (k, (qs, qd)) in s.flows().iter().zip(d.flows()).enumerate() {
+                    let (qs, qd) = (qs.cubic_meters_per_second(), qd.cubic_meters_per_second());
+                    assert!((qs - qd).abs() <= 1e-12, "branch {k}: {qs} vs {qd}");
+                }
+                for j in net.junction_ids() {
+                    let (ps, pd) = (s.pressure(j).pascals(), d.pressure(j).pascals());
+                    assert!((ps - pd).abs() <= 1e-12 * ps.abs().max(1.0), "{ps} vs {pd}");
+                }
+                // a spur junction cut off from the network is pinned to
+                // the reference pressure with zero residual by BOTH kernels
+                for &i in &closed_spurs {
+                    assert_eq!(s.pressure(spurs[i]).pascals(), 0.0);
+                    assert_eq!(d.pressure(spurs[i]).pascals(), 0.0);
+                    assert_eq!(s.flow(spur_ids[i]).cubic_meters_per_second(), 0.0);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn empty_network_is_a_typed_error_on_every_entry_point() {
+        let mut net = HydraulicNetwork::new();
+        let empty = Some(HydraulicError::EmptyNetwork);
+        assert_eq!(net.solve(&water()).err(), empty);
+        let obs = Registry::new();
+        let mut ctx = net.solver_context();
+        let laddered = net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs);
+        assert_eq!(laddered.err(), empty);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("hydraulics.ladder.error"), 1);
+        assert_eq!(snap.counter("profile.hydraulics.iterations"), 0);
+        let swept = net.solve_sweep(2, true, Registry::disabled(), |_, _| water());
+        assert_eq!(swept.err(), empty);
     }
 }

@@ -130,14 +130,16 @@ fn transient_resume_is_bitwise_for_random_networks_and_splits() {
 
         let obs_ref = traced();
         let mut straight =
-            TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
+            TransientSession::new(&net, &initial, duration, max_step, Registry::disabled())
+                .expect("valid problem");
         straight.run(&net, u64::MAX);
         let reference = straight.finish_observed(&net, &obs_ref);
 
         let k = g.draw(0u64..=reference.len() as u64 + 1);
         let obs_a = traced();
         let mut session =
-            TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
+            TransientSession::new(&net, &initial, duration, max_step, Registry::disabled())
+                .expect("valid problem");
         session.run(&net, k);
         let bytes = session.checkpoint(&obs_a);
 
@@ -361,6 +363,7 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
             &initial,
             Seconds::new(g.draw(1.0..30.0)),
             Seconds::new(g.draw(0.1..2.0)),
+            Registry::disabled(),
         )
         .expect("valid problem");
         session.run(&net, g.draw(0u64..=16));

@@ -82,17 +82,22 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every line the
+/// telemetry layer writes nests at most 3 deep; the cap keeps hostile
+/// input from exhausting the stack of the recursive parser.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one JSON document from `text` (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed input.
+/// Returns a human-readable message on malformed input, including
+/// arrays/objects nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing bytes at offset {pos}"));
     }
     Ok(value)
@@ -104,9 +109,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits `depth` containers deep.
+/// `pos` only ever advances past ASCII bytes or whole characters, so it
+/// stays on a `char` boundary of `text`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"
+        ));
+    }
+    match open {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
             *pos += 1;
@@ -118,7 +133,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos)? else {
+                let Json::Str(key) = parse_value(text, pos, depth + 1)? else {
                     return Err(format!("expected object key at offset {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -126,7 +141,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at offset {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -148,7 +163,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -160,11 +175,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -177,24 +192,25 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String>
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
+    let number = &text[start..*pos];
+    number
+        .parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at offset {start}"))
+        .map_err(|_| format!("invalid number {number:?} at offset {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    debug_assert_eq!(text.as_bytes()[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
-    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
     let mut chars = text[*pos..].char_indices();
     while let Some((i, c)) = chars.next() {
         match c {
@@ -401,7 +417,10 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<RunDoc>, String> {
                     .get("value")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| field_err(line_no, "counter \"value\""))?;
-                *doc.counters.entry(name()?).or_insert(0) += v;
+                let total = doc.counters.entry(name()?).or_insert(0);
+                *total = total
+                    .checked_add(v)
+                    .ok_or_else(|| format!("line {line_no}: counter total overflows u64"))?;
             }
             "histogram" => {
                 let bounds = value

@@ -104,6 +104,41 @@ impl Gen {
         self.rng.gen_bool(p)
     }
 
+    /// A hostile variant of `seed` for totality properties of textual
+    /// parsers, with equal odds: random bytes (half of them drawn from
+    /// `seed`'s own bytes, so its delimiters keep turning up), `seed`
+    /// truncated at any byte, or `seed` with one byte replaced by any
+    /// byte. Invalid UTF-8 is repaired lossily, because the parsers
+    /// under test take `&str`.
+    pub fn hostile_text(&mut self, seed: &str) -> String {
+        let src = seed.as_bytes();
+        let any_byte = |g: &mut Self| g.draw(0u32..=255) as u8;
+        let bytes: Vec<u8> = match self.draw(0u32..3) {
+            0 => {
+                let len = self.draw(0usize..=2 * src.len().max(8));
+                (0..len)
+                    .map(|_| {
+                        if !src.is_empty() && self.bool(0.5) {
+                            src[self.index(src.len())]
+                        } else {
+                            any_byte(self)
+                        }
+                    })
+                    .collect()
+            }
+            1 => src[..self.draw(0usize..=src.len())].to_vec(),
+            _ => {
+                let mut bytes = src.to_vec();
+                if !bytes.is_empty() {
+                    let at = self.index(bytes.len());
+                    bytes[at] = any_byte(self);
+                }
+                bytes
+            }
+        };
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
     /// Direct access to the underlying generator, for properties that
     /// need distributions ([`Rng::exponential`], [`Rng::poisson`]) or
     /// want to fork a sub-stream.
@@ -194,6 +229,30 @@ mod tests {
         let mut b = Vec::new();
         check_cases("stream_b", 8, |g| b.push(g.draw(0u64..u64::MAX)));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn hostile_text_truncates_mutates_and_scrambles() {
+        let seed = r#"{"type":"counter","name":"x","value":1}"#;
+        let (mut prefixes, mut one_byte_edits, mut other) = (0, 0, 0);
+        check("hostile_text_probe", |g| {
+            let text = g.hostile_text(seed);
+            if text.len() < seed.len() && seed.starts_with(&text) {
+                prefixes += 1;
+            } else if text.len() == seed.len()
+                && text
+                    .bytes()
+                    .zip(seed.bytes())
+                    .filter(|(a, b)| a != b)
+                    .count()
+                    == 1
+            {
+                one_byte_edits += 1;
+            } else if text != seed {
+                other += 1;
+            }
+        });
+        assert!(prefixes > 0 && one_byte_edits > 0 && other > 0);
     }
 
     #[test]

@@ -164,38 +164,10 @@ impl ThermalNetwork {
         duration: Seconds,
         max_step: Seconds,
     ) -> Result<TransientTrace, ThermalError> {
-        self.solve_transient_from_observed(initial, duration, max_step, Registry::disabled())
-    }
-
-    /// [`ThermalNetwork::solve_transient_from`] with telemetry recorded
-    /// into `obs` — all golden-channel integers:
-    ///
-    /// - `thermal.transient.calls` / `.errors` counters;
-    /// - `thermal.transient.steps` — integration samples produced (a
-    ///   function of duration and step size only);
-    /// - `thermal.transient.nodes` histogram of network size.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient_from`].
-    pub fn solve_transient_from_observed(
-        &self,
-        initial: &[Celsius],
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-    ) -> Result<TransientTrace, ThermalError> {
-        obs.inc("thermal.transient.calls");
-        match TransientSession::new(self, initial, duration, max_step) {
-            Ok(mut session) => {
-                while session.step(self) {}
-                Ok(session.finish_observed(self, obs))
-            }
-            Err(e) => {
-                obs.inc("thermal.transient.errors");
-                Err(e)
-            }
-        }
+        let mut session =
+            TransientSession::new(self, initial, duration, max_step, Registry::disabled())?;
+        while session.step(self) {}
+        Ok(session.into_trace())
     }
 }
 
@@ -278,12 +250,27 @@ pub struct TransientSession {
 
 impl TransientSession {
     /// Validates the problem and records the initial sample, exactly as
-    /// the uninterrupted solver does before its first step.
+    /// the uninterrupted solver does before its first step. Telemetry
+    /// recorded into `obs`: the `thermal.transient.calls` counter, plus
+    /// `thermal.transient.errors` when the problem is rejected;
+    /// [`TransientSession::finish_observed`] records the rest.
     ///
     /// # Errors
     ///
     /// Same contract as [`ThermalNetwork::solve_transient_from`].
     pub fn new(
+        net: &ThermalNetwork,
+        initial: &[Celsius],
+        duration: Seconds,
+        max_step: Seconds,
+        obs: &Registry,
+    ) -> Result<Self, ThermalError> {
+        obs.inc("thermal.transient.calls");
+        Self::start(net, initial, duration, max_step)
+            .inspect_err(|_| obs.inc("thermal.transient.errors"))
+    }
+
+    fn start(
         net: &ThermalNetwork,
         initial: &[Celsius],
         duration: Seconds,
@@ -650,12 +637,13 @@ mod tests {
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
         let initial = net.uniform_initial(Celsius::new(0.0));
-        let trace = net
-            .solve_transient_from_observed(&initial, Seconds::new(10.0), Seconds::new(0.1), &obs)
-            .unwrap();
+        let mut session =
+            TransientSession::new(&net, &initial, Seconds::new(10.0), Seconds::new(0.1), &obs)
+                .unwrap();
+        while session.step(&net) {}
+        let trace = session.finish_observed(&net, &obs);
         // a bad step records an error, not steps
-        let _ = net
-            .solve_transient_from_observed(&initial, Seconds::new(10.0), Seconds::new(0.0), &obs)
+        let _ = TransientSession::new(&net, &initial, Seconds::new(10.0), Seconds::new(0.0), &obs)
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("thermal.transient.calls"), 2);
@@ -687,7 +675,7 @@ mod tests {
         for k in [0u64, 1, 7, 399, 400] {
             let obs = Registry::new();
             let mut front =
-                TransientSession::new(&net, &initial, Seconds::new(40.0), Seconds::new(0.1))
+                TransientSession::new(&net, &initial, Seconds::new(40.0), Seconds::new(0.1), &obs)
                     .unwrap();
             front.run(&net, k);
             let bytes = front.checkpoint(&obs);
@@ -723,9 +711,10 @@ mod tests {
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
         let initial = vec![Celsius::new(0.0); net.node_count()];
-        let session =
-            TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1)).unwrap();
         let obs = Registry::new();
+        let session =
+            TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1), &obs)
+                .unwrap();
         let bytes = session.checkpoint(&obs);
 
         let mut corrupt = bytes.clone();

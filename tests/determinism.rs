@@ -21,6 +21,7 @@
 
 use rcs_sim::cooling::{availability, risk, CoolingArchitecture, ImmersionBath};
 use rcs_sim::core::{FleetConfig, FleetSimulation};
+use rcs_sim::obs::Registry;
 
 /// Tolerance for pinned floating-point golden values. The runs are
 /// bit-deterministic on a given platform; the headroom only covers
@@ -88,9 +89,12 @@ fn availability_monte_carlo_is_thread_count_invariant() {
     // every field bit-identical from the inline serial path (1) through
     // even (2, 4) and uneven (7) pool splits.
     let classes = skat_failure_classes();
-    let serial = availability::monte_carlo_with_threads(&classes, 5.0, 500, 42, 1);
+    let run = |threads| {
+        availability::monte_carlo_observed(&classes, 5.0, 500, 42, threads, Registry::disabled())
+    };
+    let serial = run(1);
     for threads in [2, 4, 7] {
-        let pooled = availability::monte_carlo_with_threads(&classes, 5.0, 500, 42, threads);
+        let pooled = run(threads);
         assert_eq!(
             serial, pooled,
             "AvailabilityReport must be bit-identical at {threads} threads"
@@ -100,7 +104,7 @@ fn availability_monte_carlo_is_thread_count_invariant() {
 
 #[test]
 fn fleet_simulation_is_thread_count_invariant() {
-    // run_all (config sweep) and sweep_seeds (seed sweep) at 1/2/4/7
+    // The config sweep and the seed sweep at 1/2/4/7
     // workers: identical FleetOutcome vectors throughout.
     let sim = FleetSimulation::new(12, 5.0, 20180401);
     let serial_all = sim.run_all_with_threads(1).unwrap();
