@@ -205,12 +205,6 @@ impl ImmersionBath {
     pub fn approach_velocity(&self, flow: VolumeFlow) -> Velocity {
         flow / self.bath_cross_section
     }
-
-    /// Moving mechanical parts (pump rotors); fans count for air systems.
-    #[must_use]
-    pub fn moving_parts(&self) -> usize {
-        self.pump_count
-    }
 }
 
 /// Any of the three architectures, for APIs that compare them.

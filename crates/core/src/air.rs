@@ -69,13 +69,6 @@ impl AirCooledModel {
         self
     }
 
-    /// The preheat coefficient in use (K of local air rise per board
-    /// watt).
-    #[must_use]
-    pub fn preheat_coefficient(&self) -> f64 {
-        self.preheat_k_per_w
-    }
-
     /// Junction-to-air stack resistance of one chip at the configured
     /// airflow.
     #[must_use]

@@ -61,12 +61,6 @@ impl ColdPlateModel {
         self
     }
 
-    /// The loop configuration.
-    #[must_use]
-    pub fn loop_config(&self) -> &ColdPlateLoop {
-        &self.loop_
-    }
-
     /// Solves the coupled steady state (fixed point over leakage).
     ///
     /// # Errors

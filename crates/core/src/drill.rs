@@ -33,7 +33,7 @@ use rcs_platform::ComputeModule;
 use rcs_units::{Celsius, Power, Seconds, VolumeFlow};
 
 use crate::error::CoreError;
-use crate::immersion::ImmersionModel;
+use crate::immersion::{ImmersionModel, PUMP_DRIVE_EFFICIENCY};
 
 /// Snapshot kind tag for [`DrillSession`] checkpoints.
 pub const DRILL_SNAPSHOT_KIND: &str = "core.drill";
@@ -466,7 +466,7 @@ impl FaultDrill {
         let pump_heat_w = if degraded_bath.immersed_pumps {
             steady.circulation_power.watts()
         } else {
-            steady.circulation_power.watts() * 0.45
+            steady.circulation_power.watts() * PUMP_DRIVE_EFFICIENCY
         };
         let supply = degraded_bath
             .chiller

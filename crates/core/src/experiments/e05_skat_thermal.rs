@@ -12,15 +12,10 @@ use super::Table;
 use crate::rules;
 use crate::ImmersionModel;
 
-/// Renders the steady-state comparison plus the Fig. 2 warm-up series.
-#[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with solver telemetry recorded into `obs`: the steady solve
-/// and the warm-up integration both thread the registry down, so the
-/// manifest shows exactly how hard the prototype reproduction worked
+/// Renders the steady-state comparison plus the Fig. 2 warm-up series,
+/// with solver telemetry recorded into `obs`: the steady solve and the
+/// warm-up integration both thread the registry down, so the manifest
+/// shows exactly how hard the prototype reproduction worked
 /// (`immersion.solve.*`, `hydraulics.ladder.*`, `thermal.transient.*`).
 /// The Fig. 2 warm-up pushes its chip-field and bath series into the
 /// `immersion.warmup.*` channels of the trace (decimated
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn all_skat_checks_pass() {
-        let tables = run();
+        let tables = run_observed(Registry::disabled());
         // the steady table's "ok" column contains no "NO"
         for row in &tables[0].rows {
             assert_ne!(row[3], "NO", "{row:?}");
@@ -167,7 +162,7 @@ mod tests {
 
     #[test]
     fn warmup_trace_is_monotone_up() {
-        let tables = run();
+        let tables = run_observed(Registry::disabled());
         let trace = &tables[2];
         let temps: Vec<f64> = trace
             .rows

@@ -112,18 +112,12 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
     (before, after)
 }
 
-/// Renders the experiment tables.
-#[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with every measurement solve recorded into `obs`. On the
-/// trace, each layout's per-loop flow distribution lands in a
-/// `e08.flow/<layout>` channel (loop index as the time axis), and the
-/// failure injection records its before/after series in
-/// `e08.failure.before` / `e08.failure.after`; the whole measurement
-/// pass runs inside one `hydraulics.balance` span.
+/// Renders the experiment tables, with every measurement solve recorded
+/// into `obs`. On the trace, each layout's per-loop flow distribution
+/// lands in a `e08.flow/<layout>` channel (loop index as the time axis),
+/// and the failure injection records its before/after series in
+/// `e08.failure.before` / `e08.failure.after`; the whole measurement pass
+/// runs inside one `hydraulics.balance` span.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
 pub fn run_observed(obs: &Registry) -> Vec<Table> {

@@ -105,15 +105,9 @@ pub fn rows_observed(obs: &Registry) -> Vec<ReliabilityRow> {
     .collect()
 }
 
-/// Renders the experiment tables.
-#[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with the `mc.*` telemetry of every architecture recorded
-/// into `obs` (see [`rows_observed`]); the sweep runs inside one
-/// `reliability.sweep` span.
+/// Renders the experiment tables, with the `mc.*` telemetry of every
+/// architecture recorded into `obs` (see [`rows_observed`]); the sweep
+/// runs inside one `reliability.sweep` span.
 #[must_use]
 pub fn run_observed(obs: &Registry) -> Vec<Table> {
     obs.enter("reliability.sweep");

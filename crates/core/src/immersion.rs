@@ -21,7 +21,7 @@ use crate::report::SteadyReport;
 
 /// Electrical efficiency of the circulation pump drive (hydraulic power
 /// delivered per electrical watt).
-const PUMP_DRIVE_EFFICIENCY: f64 = 0.45;
+pub(crate) const PUMP_DRIVE_EFFICIENCY: f64 = 0.45;
 
 /// Outer fixed-point iteration histogram bounds (inclusive upper
 /// bounds, overflow bucket past the heaviest ladder budget).

@@ -66,11 +66,6 @@ impl Fnv1a {
         }
     }
 
-    /// Absorbs one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
     /// Absorbs a `u32`, little-endian.
     pub fn write_u32(&mut self, v: u32) {
         self.write(&v.to_le_bytes());

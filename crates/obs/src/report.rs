@@ -781,6 +781,17 @@ pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
 /// other side). A run present on only one side is itself a regression.
 #[must_use]
 pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
+    diff_runs(a, b, |da, db| diff(da, db, opts))
+}
+
+/// Matches the runs of two parsed files by experiment name and merges
+/// `per_run` over every matched pair; a run present on only one side
+/// is a `run` finding.
+fn diff_runs(
+    a: &[RunDoc],
+    b: &[RunDoc],
+    per_run: impl Fn(&RunDoc, &RunDoc) -> DiffReport,
+) -> DiffReport {
     let mut report = DiffReport::default();
     let index = |docs: &[RunDoc]| -> BTreeMap<String, usize> {
         docs.iter()
@@ -793,7 +804,7 @@ pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
     let names: std::collections::BTreeSet<&String> = ia.keys().chain(ib.keys()).collect();
     for name in names {
         match (ia.get(name.as_str()), ib.get(name.as_str())) {
-            (Some(&da), Some(&db)) => report.merge(diff(&a[da], &b[db], opts)),
+            (Some(&da), Some(&db)) => report.merge(per_run(&a[da], &b[db])),
             (present, _) => {
                 report.compared += 1;
                 let detail = if present.is_some() {
@@ -821,17 +832,10 @@ pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
 // ---------------------------------------------------------------------
 
 /// Renders a human-readable cross-run summary: per run, the header
-/// identity, the largest golden counters, the rolled-up profile tree,
-/// and per-trace channel statistics. Shows the 10 largest counters and
-/// `profile.*` leaves — [`summary_top`] makes the cut configurable.
-#[must_use]
-pub fn summary(docs: &[RunDoc]) -> String {
-    summary_top(docs, 10)
-}
-
-/// [`summary`] with an explicit hotspot cut: the `top` largest golden
-/// counters and the `top` largest `profile.*` work leaves, both ranked
-/// by magnitude (the `obs_report summary --top N` flag).
+/// identity, the `top` largest golden counters, the rolled-up profile
+/// tree with its `top` largest `profile.*` work leaves (both ranked by
+/// magnitude; the `obs_report summary --top N` flag), and per-trace
+/// channel statistics.
 #[must_use]
 pub fn summary_top(docs: &[RunDoc], top: usize) -> String {
     let mut out = String::new();
@@ -1199,38 +1203,7 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
 /// experiment name exactly like [`diff_docs`].
 #[must_use]
 pub fn diff_spans_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
-    let index = |docs: &[RunDoc]| -> BTreeMap<String, usize> {
-        docs.iter()
-            .enumerate()
-            .map(|(i, d)| (d.experiment.clone(), i))
-            .collect()
-    };
-    let ia = index(a);
-    let ib = index(b);
-    let names: std::collections::BTreeSet<&String> = ia.keys().chain(ib.keys()).collect();
-    for name in names {
-        match (ia.get(name.as_str()), ib.get(name.as_str())) {
-            (Some(&da), Some(&db)) => report.merge(diff_spans(&a[da], &b[db], opts)),
-            (present, _) => {
-                report.compared += 1;
-                report.findings.push(Finding {
-                    kind: "run",
-                    name: if name.is_empty() {
-                        "(headerless)".to_owned()
-                    } else {
-                        name.to_string()
-                    },
-                    detail: if present.is_some() {
-                        "run present in baseline, missing in candidate".to_owned()
-                    } else {
-                        "run missing in baseline, present in candidate".to_owned()
-                    },
-                });
-            }
-        }
-    }
-    report
+    diff_runs(a, b, |da, db| diff_spans(da, db, opts))
 }
 
 #[cfg(test)]
@@ -1480,7 +1453,7 @@ mod tests {
     #[test]
     fn summary_renders_header_profile_and_traces() {
         let docs = parse_ndjson(&demo_ndjson()).unwrap();
-        let text = summary(&docs);
+        let text = summary_top(&docs, 10);
         assert!(text.contains("== e_demo =="), "{text}");
         assert!(text.contains("seed=7 threads=2"), "{text}");
         assert!(text.contains("solver.calls = 3"), "{text}");

@@ -173,12 +173,6 @@ impl ComputeModule {
     pub fn packing_density_fpga_per_m3(&self) -> f64 {
         self.compute_fpga_count() as f64 / self.volume().cubic_meters()
     }
-
-    /// Peak performance per cubic meter.
-    #[must_use]
-    pub fn performance_density_per_m3(&self) -> f64 {
-        self.peak_performance().ops_per_second() / self.volume().cubic_meters()
-    }
 }
 
 #[cfg(test)]

@@ -737,8 +737,8 @@ impl FaultInjector for NoFaults {
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///
 /// `obs` should be the query's *own* shard registry (as handed out by
-/// [`rcs_parallel::par_map_observed`]): spent work is measured
-/// as the shard's `profile.*` total, so the
+/// [`rcs_parallel::par_map_observed`]): spent work is the shard's work
+/// clock ([`Registry::work_units`], its `profile.*` total), so the
 /// [`work_budget`](ResiliencePolicy::work_budget) covers exactly this
 /// query's attempts — including injected cost inflation.
 ///
@@ -778,7 +778,7 @@ pub fn solve_query_resilient(
             obs.add("resilience.injected.cost", units);
             obs.work("resilience.injected.cost", units);
         }
-        let spent = rcs_obs::profile::tree(&obs.snapshot()).total;
+        let spent = obs.work_units();
         if spent >= policy.work_budget {
             obs.inc("resilience.budget.exhausted");
             obs.work("resilience.budget.exhausted", 1);

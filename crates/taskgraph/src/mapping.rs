@@ -25,17 +25,6 @@ impl FpgaField {
         }
     }
 
-    /// A field from an explicit part list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty list.
-    #[must_use]
-    pub fn from_parts(parts: Vec<FpgaPart>) -> Self {
-        assert!(!parts.is_empty(), "a field needs at least one FPGA");
-        Self { parts }
-    }
-
     /// The member FPGAs.
     #[must_use]
     pub fn parts(&self) -> &[FpgaPart] {

@@ -49,12 +49,6 @@ impl Energy {
     pub fn as_kilowatt_hours(self) -> f64 {
         self.joules() / 3.6e6
     }
-
-    /// Creates an energy from kilowatt-hours.
-    #[must_use]
-    pub fn kilowatt_hours(kwh: f64) -> Self {
-        Self::from_joules(kwh * 3.6e6)
-    }
 }
 
 scalar_quantity!(

@@ -46,7 +46,7 @@ fn claim_liquid_physics() {
 /// the SKAT heat test, with no immersion-side calibration.
 #[test]
 fn claim_skat_envelope() {
-    let tables = experiments::e05_skat_thermal::run();
+    let tables = experiments::e05_skat_thermal::run_observed(Registry::disabled());
     for row in &tables[0].rows {
         assert_ne!(row[3], "NO", "{row:?}");
     }

@@ -1,32 +1,42 @@
-//! Scenario integration tests: the extension systems (supervisor, rack
+//! Scenario integration tests: the extension systems (fault drills, rack
 //! coupling, maintenance, energy) playing together.
 
 use rcs_sim::cooling::faults::{FaultKind, FaultTimeline, SensorChannel, SensorFault};
 use rcs_sim::cooling::maintenance::{summarize, PlumbingTopology};
-use rcs_sim::core::{experiments, FaultDrill, RackImmersionModel, Supervisor};
+use rcs_sim::core::{experiments, FaultDrill, RackImmersionModel};
 use rcs_sim::hydraulics::layout::ReturnStyle;
 use rcs_sim::numeric::rng::Rng;
 use rcs_sim::obs::Registry;
 use rcs_sim::thermal::Chiller;
 use rcs_sim::units::{Celsius, Power, Seconds};
 
-/// A data-center heat wave: facility water drifts from 20 to 30 °C over a
-/// day and recovers. The supervised rack sheds load instead of tripping,
-/// and recovers its utilization afterwards.
+/// A failing facility chiller, on the path E17 runs: the SKAT module
+/// under the hardened supervisor with E17's "chiller setpoint drift"
+/// script. The supervisor alarms and sheds load instead of tripping,
+/// and the true junction never crosses the hardware ceiling.
 #[test]
-fn heat_wave_is_survivable_under_supervision() {
-    let scenario: Vec<Celsius> = (0..24)
-        .map(|h| {
-            let drift = 10.0 * (core::f64::consts::PI * h as f64 / 23.0).sin();
-            Celsius::new(20.0 + drift.max(0.0))
-        })
-        .collect();
-    let outcome = Supervisor::skat_default().run(&scenario).expect("solves");
-    assert!(!outcome.shut_down);
-    assert!(outcome.peak_junction().unwrap().degrees() <= 67.5);
-    // load was shed at the peak and restored at the end
-    assert!(outcome.min_utilization < 0.90);
-    assert!(outcome.steps.last().unwrap().utilization > outcome.min_utilization);
+fn failing_chiller_is_survived_by_shedding_load() {
+    let (name, timeline) = experiments::e17_fault_drills::drill_scripts()
+        .into_iter()
+        .find(|(name, _)| *name == "chiller setpoint drift")
+        .expect("E17 scripts the chiller drift");
+    let drill = FaultDrill::skat(
+        name,
+        timeline,
+        Seconds::minutes(experiments::e17_fault_drills::DURATION_MIN),
+    );
+    let outcome = drill.run_observed(
+        &mut Rng::seed_from_u64(experiments::e17_fault_drills::SEED),
+        Registry::disabled(),
+    );
+    assert!(outcome.time_to_alarm.is_some(), "{outcome:?}");
+    assert!(
+        outcome.min_utilization < drill.demand_utilization,
+        "{outcome:?}"
+    );
+    assert!(!outcome.shut_down, "{outcome:?}");
+    assert_eq!(outcome.violation_steps, 0, "{outcome:?}");
+    assert!(outcome.solver_failure.is_none(), "{outcome:?}");
 }
 
 /// The rack model and the single-module model agree when the rack is
