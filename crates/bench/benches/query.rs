@@ -6,7 +6,9 @@
 //! — only the wall-clock changes. The closing report lines quantify the
 //! two claims the query layer makes: misses scale with the worker
 //! count, and a cache hit is orders of magnitude cheaper than a cold
-//! solve (the `hit_speedup` line must stay well above 10×).
+//! solve (the `hit_speedup` line must stay well above 10×). The
+//! `obs_overhead` line prices telemetry: serial solves under an enabled
+//! registry against the same solves under `Registry::disabled()`.
 //!
 //! Run with `cargo bench -p rcs-bench --bench query`, or `-- --quick`
 //! for the CI smoke pass.
@@ -16,7 +18,7 @@ use std::time::Duration;
 
 use rcs_bench::Harness;
 use rcs_obs::Registry;
-use rcs_query::{DesignQuery, QueryEngine};
+use rcs_query::{solve_query, DesignQuery, QueryEngine};
 
 /// Deduplicated ascending ladder of worker counts to sweep.
 fn thread_ladder() -> Vec<usize> {
@@ -87,6 +89,24 @@ fn main() {
         }
     }
 
+    // Telemetry cost: the grid solved serially, without the engine,
+    // under a disabled and under a fresh enabled registry.
+    let mut solve_medians = Vec::new();
+    for (label, enabled) in [("off", false), ("on", true)] {
+        let median = h.bench_median(&format!("query_solve/obs={label}"), || {
+            let fresh = Registry::new();
+            let obs = if enabled {
+                &fresh
+            } else {
+                Registry::disabled()
+            };
+            for query in &queries {
+                black_box(solve_query(query, obs)).ok();
+            }
+        });
+        solve_medians.push(median);
+    }
+
     // Throughput + speedup report lines.
     let serial_cold = cold_rows.iter().find(|(t, _)| *t == 1).map(|&(_, d)| d);
     if let Some(serial) = serial_cold {
@@ -109,6 +129,14 @@ fn main() {
         let qps = n as f64 / warm.as_secs_f64().max(f64::MIN_POSITIVE);
         println!("bench  throughput query_warm/threads=1            {qps:.1} queries/s");
         println!("bench  speedup hit_speedup                      {speedup:.1}x (warm cache vs cold solve, bit-identical verdicts)");
+    }
+
+    if let [Some(off), Some(on)] = solve_medians[..] {
+        let overhead = on.as_secs_f64() / off.as_secs_f64().max(f64::MIN_POSITIVE) - 1.0;
+        println!(
+            "bench  overhead obs_overhead                     {:+.1}% (enabled vs disabled registry, serial solve_query)",
+            100.0 * overhead
+        );
     }
 
     h.finish();

@@ -23,6 +23,19 @@
 //!   excluded from [`Snapshot`] equality and from the CI counter diff,
 //!   because they legitimately vary run to run.
 //!
+//! # Recording is allocation-free
+//!
+//! Every record call takes its name as a compile-time `&'static str`,
+//! and the registry keys its maps by that borrowed name, so a repeat
+//! hit on an enabled registry never touches the heap; only the first
+//! touch of a name inserts an entry. Work paths are stored as given:
+//! [`Registry::work`] never builds a `profile.<path>` string, the
+//! prefix is applied when [`Registry::snapshot`] renders the counters
+//! in sorted name order. Owned names appear only when a
+//! [`Snapshot`] is merged back in with [`Registry::absorb`] (a restored
+//! checkpoint), and a sealed [`Registry::shard`] hands its maps over
+//! whole, without renaming through a `Snapshot`.
+//!
 //! # One telemetry context
 //!
 //! A [`Registry`] is the only thing instrumented code is handed. Besides
@@ -62,6 +75,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -74,24 +88,140 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
+/// A counter, histogram or work-path name: a borrowed compile-time
+/// literal on every record call, owned only when it arrives at run
+/// time through [`Registry::absorb`] (a restored checkpoint snapshot).
+type Name = Cow<'static, str>;
+
 /// Aggregated state behind the registry mutex. `BTreeMap` keeps every
 /// iteration (snapshots, manifests) in sorted name order, so rendered
-/// telemetry never depends on insertion order.
-#[derive(Debug, Default)]
+/// telemetry never depends on insertion order. A repeat hit on a name
+/// finds its entry without touching the heap.
+#[derive(Debug, Clone, Default)]
 struct Inner {
-    /// Golden: monotonic counters.
-    counters: BTreeMap<String, u64>,
+    /// Golden: monotonic counters outside the `profile.` namespace.
+    counters: BTreeMap<Name, u64>,
+    /// Golden: work units keyed by profile path, without the
+    /// `profile.` prefix, which [`Registry::snapshot`] applies. Every
+    /// `profile.*` value lives here, whichever route recorded it.
+    work: BTreeMap<Name, u64>,
     /// Golden: fixed-bucket histograms.
-    histograms: BTreeMap<String, HistogramSnapshot>,
+    histograms: BTreeMap<Name, HistogramSnapshot>,
     /// Golden: fixed-edge float histograms.
-    fhistograms: BTreeMap<String, FHistogramSnapshot>,
+    fhistograms: BTreeMap<Name, FHistogramSnapshot>,
     /// Non-golden: scheduling-dependent gauges.
-    notes: BTreeMap<String, u64>,
-    /// Golden: running sum of every `profile.*` counter ever recorded
-    /// or absorbed — the deterministic work clock behind
-    /// [`Registry::work_units`]. Redundant with the counters themselves
-    /// but O(1) to read, which the span sink does on every enter/exit.
+    notes: BTreeMap<&'static str, u64>,
+    /// Golden: the sum of `work` — the deterministic work clock behind
+    /// [`Registry::work_units`], O(1) to read, which the span sink does
+    /// on every enter/exit. A clock-only shard keeps this alone.
     work_units: u64,
+}
+
+impl Inner {
+    /// The golden state a snapshot describes, with every name owned.
+    fn restored(snapshot: &Snapshot) -> Self {
+        let mut inner = Self::default();
+        for &(ref name, v) in &snapshot.counters {
+            match name.strip_prefix(profile::PREFIX) {
+                Some(path) => {
+                    inner.work_units += v;
+                    *inner.work.entry(Cow::Owned(path.to_owned())).or_insert(0) += v;
+                }
+                None => *inner.counters.entry(Cow::Owned(name.clone())).or_insert(0) += v,
+            }
+        }
+        for (name, hist) in &snapshot.histograms {
+            inner.add_histogram(&Cow::Owned(name.clone()), hist);
+        }
+        for (name, hist) in &snapshot.fhistograms {
+            inner.add_fhistogram(&Cow::Owned(name.clone()), hist);
+        }
+        inner
+    }
+
+    /// Adds `other`'s golden state into this one: counters and work
+    /// add, histogram bucket counts add. Notes stay where they were
+    /// recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a histogram name collides with different bounds.
+    fn merge(&mut self, other: &Inner) {
+        self.work_units += other.work_units;
+        for (name, v) in &other.counters {
+            *self.counters.entry(name.clone()).or_insert(0) += v;
+        }
+        for (path, v) in &other.work {
+            *self.work.entry(path.clone()).or_insert(0) += v;
+        }
+        for (name, hist) in &other.histograms {
+            self.add_histogram(name, hist);
+        }
+        for (name, hist) in &other.fhistograms {
+            self.add_fhistogram(name, hist);
+        }
+    }
+
+    /// Adds `hist`'s bucket counts into the histogram `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the histogram exists with different bounds.
+    fn add_histogram(&mut self, name: &Name, hist: &HistogramSnapshot) {
+        let target = self
+            .histograms
+            .entry(name.clone())
+            .or_insert_with(|| HistogramSnapshot {
+                bounds: hist.bounds.clone(),
+                counts: vec![0; hist.counts.len()],
+            });
+        assert_eq!(
+            target.bounds, hist.bounds,
+            "histogram {name} absorbed with different bounds"
+        );
+        for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
+            *t += s;
+        }
+    }
+
+    /// Adds `hist`'s bucket counts into the float histogram `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the histogram exists with different edges.
+    fn add_fhistogram(&mut self, name: &Name, hist: &FHistogramSnapshot) {
+        let target = self
+            .fhistograms
+            .entry(name.clone())
+            .or_insert_with(|| FHistogramSnapshot {
+                edges: hist.edges.clone(),
+                counts: vec![0; hist.counts.len()],
+            });
+        assert!(
+            same_edges(&target.edges, &hist.edges),
+            "float histogram {name} absorbed with different edges"
+        );
+        for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
+            *t += s;
+        }
+    }
+}
+
+/// Bitwise equality of two float-histogram edge sets.
+fn same_edges(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// What a registry records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Nothing: the [`Registry::disabled`] sink.
+    Off,
+    /// Only the work clock: a shard of a registry that does not record
+    /// counters, kept so per-task work budgets still read it.
+    Clock,
+    /// Counters, histograms, notes and the work clock.
+    On,
 }
 
 /// The telemetry context: golden counters and histograms, non-golden
@@ -106,7 +236,7 @@ struct Inner {
 /// [`absorb_shard`]: Registry::absorb_shard
 #[derive(Debug)]
 pub struct Registry {
-    enabled: bool,
+    mode: Mode,
     inner: Mutex<Inner>,
     trace: TraceRecorder,
     spans: SpanSink,
@@ -120,9 +250,10 @@ impl Default for Registry {
 
 /// The shared disabled sink behind [`Registry::disabled`].
 static DISABLED: Registry = Registry {
-    enabled: false,
+    mode: Mode::Off,
     inner: Mutex::new(Inner {
         counters: BTreeMap::new(),
+        work: BTreeMap::new(),
         histograms: BTreeMap::new(),
         fhistograms: BTreeMap::new(),
         notes: BTreeMap::new(),
@@ -139,7 +270,7 @@ impl Registry {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            enabled: true,
+            mode: Mode::On,
             inner: Mutex::new(Inner::default()),
             trace: TraceRecorder::off(),
             spans: SpanSink::off(),
@@ -177,18 +308,21 @@ impl Registry {
         self
     }
 
-    /// The shared no-op context: counters, trace and spans all off, so
-    /// un-observed entry points (`solve`, `run`, …) pay one
-    /// branch per record call and nothing else.
+    /// The shared no-op context: counters, work clock, trace and spans
+    /// all off, so un-observed entry points (`solve`, `run`, …) pay one
+    /// branch per record call and nothing else. Its [`Registry::shard`]s
+    /// keep only their work clock.
     #[must_use]
     pub fn disabled() -> &'static Registry {
         &DISABLED
     }
 
-    /// `true` unless this is the [`Registry::disabled`] sink.
+    /// `true` when this registry records counters, histograms and
+    /// notes: `false` for the [`Registry::disabled`] sink and for every
+    /// shard of a registry that does not record them.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.mode == Mode::On
     }
 
     /// The trace recorder riding on this registry.
@@ -228,31 +362,39 @@ impl Registry {
         f()
     }
 
-    /// A fresh per-task registry for a parallel stage: counters always
-    /// on (per-task work budgets read them even under a disabled
-    /// parent), trace recorder and span sink on exactly when this
-    /// registry records them. Merge it back with
+    /// A fresh per-task registry for a parallel stage. It records
+    /// counters exactly when this registry does; otherwise it keeps
+    /// only its work clock, which per-task work budgets read even under
+    /// a disabled parent. Its trace recorder and span sink are on
+    /// exactly when this registry's are. Merge it back with
     /// [`Registry::absorb_shard`].
     #[must_use]
     pub fn shard(&self) -> Registry {
         Self {
-            enabled: true,
+            mode: if self.mode == Mode::On {
+                Mode::On
+            } else {
+                Mode::Clock
+            },
             inner: Mutex::new(Inner::default()),
             trace: self.trace.shard(),
             spans: self.spans.shard(),
         }
     }
 
-    /// Captures a finished [`Registry::shard`] for
-    /// [`Registry::absorb_shard`]. Call it on the worker that recorded
-    /// the shard, so the copy is made in parallel and the shard itself
-    /// is freed there.
+    /// Finishes a [`Registry::shard`] for [`Registry::absorb_shard`],
+    /// moving its recorded state out. Call it on the worker that
+    /// recorded the shard, so the trace and span copies are made in
+    /// parallel and the shard itself is freed there.
     #[must_use]
-    pub fn seal(&self) -> ShardState {
+    pub fn seal(self) -> ShardState {
         ShardState {
-            counters: self.snapshot(),
             trace: self.trace.snapshot(),
             spans: self.spans.snapshot(),
+            inner: self
+                .inner
+                .into_inner()
+                .expect("telemetry registry poisoned"),
         }
     }
 
@@ -263,9 +405,13 @@ impl Registry {
     /// under the currently open span at the work clock the counters
     /// started from. Called once per task in **input order**, this is
     /// bit-identical to running the tasks inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a histogram name collides with different bounds.
     pub fn absorb_shard(&self, prefix: &str, shard: &ShardState) {
         let base = self.work_units();
-        self.absorb(&shard.counters);
+        self.merge(&shard.inner);
         self.trace.absorb_prefixed(prefix, &shard.trace);
         self.spans.absorb_at(base, &shard.spans);
     }
@@ -274,15 +420,30 @@ impl Registry {
         self.inner.lock().expect("telemetry registry poisoned")
     }
 
-    /// Adds `n` to the golden counter `name` (creating it at zero).
-    pub fn add(&self, name: &str, n: u64) {
-        if !self.enabled {
+    /// Adds `n` to the golden counter `name` (creating it at zero). A
+    /// `profile.<path>` name is the same as [`Registry::work`] on
+    /// `<path>`.
+    pub fn add(&self, name: &'static str, n: u64) {
+        if let Some(path) = name.strip_prefix(profile::PREFIX) {
+            self.work(path, n);
+        } else if self.mode == Mode::On {
+            *self.lock().counters.entry(Cow::Borrowed(name)).or_insert(0) += n;
+        }
+    }
+
+    /// Adds `units` of deterministic work under the dot-separated
+    /// profile path `path` (rendered as the golden counter
+    /// `profile.<path>`) and advances the work clock by as much. Work
+    /// units must be pure functions of the workload — iteration counts,
+    /// trial counts, step counts — never wall-clock readings.
+    pub fn work(&self, path: &'static str, units: u64) {
+        if self.mode == Mode::Off {
             return;
         }
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += n;
-        if name.starts_with(profile::PREFIX) {
-            inner.work_units += n;
+        inner.work_units += units;
+        if self.mode == Mode::On {
+            *inner.work.entry(Cow::Borrowed(path)).or_insert(0) += units;
         }
     }
 
@@ -293,14 +454,14 @@ impl Registry {
     /// every `RCS_THREADS`. The disabled sink always reads 0.
     #[must_use]
     pub fn work_units(&self) -> u64 {
-        if !self.enabled {
+        if self.mode == Mode::Off {
             return 0;
         }
         self.lock().work_units
     }
 
     /// Increments the golden counter `name` by one.
-    pub fn inc(&self, name: &str) {
+    pub fn inc(&self, name: &'static str) {
         self.add(name, 1);
     }
 
@@ -317,8 +478,8 @@ impl Registry {
     ///
     /// Panics if `bounds` is empty or not strictly ascending, or if the
     /// histogram was first recorded with different bounds.
-    pub fn record_histogram(&self, name: &str, bounds: &[u64], value: u64) {
-        if !self.enabled {
+    pub fn record_histogram(&self, name: &'static str, bounds: &[u64], value: u64) {
+        if self.mode != Mode::On {
             return;
         }
         assert!(!bounds.is_empty(), "histogram {name} needs buckets");
@@ -329,7 +490,7 @@ impl Registry {
         let mut inner = self.lock();
         let hist = inner
             .histograms
-            .entry(name.to_owned())
+            .entry(Cow::Borrowed(name))
             .or_insert_with(|| HistogramSnapshot {
                 bounds: bounds.to_vec(),
                 counts: vec![0; bounds.len() + 1],
@@ -365,8 +526,8 @@ impl Registry {
     /// Panics if `edges` is empty, non-finite, or not strictly
     /// ascending, or if the histogram was first recorded with different
     /// edges — edge sets are compile-time constants, never data.
-    pub fn record_histogram_f64(&self, name: &str, edges: &[f64], value: f64) {
-        if !self.enabled {
+    pub fn record_histogram_f64(&self, name: &'static str, edges: &[f64], value: f64) {
+        if self.mode != Mode::On {
             return;
         }
         assert!(!edges.is_empty(), "float histogram {name} needs edges");
@@ -381,18 +542,13 @@ impl Registry {
         let mut inner = self.lock();
         let hist = inner
             .fhistograms
-            .entry(name.to_owned())
+            .entry(Cow::Borrowed(name))
             .or_insert_with(|| FHistogramSnapshot {
                 edges: edges.to_vec(),
                 counts: vec![0; edges.len() + 1],
             });
         assert!(
-            hist.edges.len() == edges.len()
-                && hist
-                    .edges
-                    .iter()
-                    .zip(edges)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            same_edges(&hist.edges, edges),
             "float histogram {name} re-recorded with different edges"
         );
         let bucket = if value.is_nan() {
@@ -407,36 +563,38 @@ impl Registry {
     /// legitimately depend on scheduling or the machine (worker counts,
     /// per-worker task tallies). Notes appear in the manifest but never
     /// in [`Registry::snapshot`].
-    pub fn note(&self, name: &str, n: u64) {
-        if !self.enabled {
+    pub fn note(&self, name: &'static str, n: u64) {
+        if self.mode != Mode::On {
             return;
         }
-        let mut inner = self.lock();
-        *inner.notes.entry(name.to_owned()).or_insert(0) += n;
+        *self.lock().notes.entry(name).or_insert(0) += n;
     }
 
     /// Captures the golden channel: all counters and histograms, in
-    /// sorted name order. Two runs of the same seeded workload must
-    /// produce `==` snapshots at any thread count.
+    /// sorted name order, with work paths rendered as `profile.<path>`
+    /// counters. Two runs of the same seeded workload must produce `==`
+    /// snapshots at any thread count.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
+        fn owned<V: Clone>((name, v): (&Name, &V)) -> (String, V) {
+            (name.to_string(), v.clone())
+        }
         let inner = self.lock();
+        let mut counters: Vec<_> = inner.counters.iter().map(owned).collect();
+        // no other counter falls between two `profile.*` names, so the
+        // sorted work block splices in at one position
+        let at = counters.partition_point(|(name, _)| name.as_str() < profile::PREFIX);
+        counters.splice(
+            at..at,
+            inner
+                .work
+                .iter()
+                .map(|(path, &v)| (format!("{}{path}", profile::PREFIX), v)),
+        );
         Snapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            fhistograms: inner
-                .fhistograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+            counters,
+            histograms: inner.histograms.iter().map(owned).collect(),
+            fhistograms: inner.fhistograms.iter().map(owned).collect(),
         }
     }
 
@@ -446,71 +604,31 @@ impl Registry {
         self.lock()
             .notes
             .iter()
-            .map(|(k, &v)| (k.clone(), v))
+            .map(|(&name, &v)| (name.to_owned(), v))
             .collect()
     }
 
     /// Merges a golden snapshot into this registry: counters add,
-    /// histogram bucket counts add (bounds must match).
-    ///
-    /// [`Registry::absorb_shard`] uses this as the counter half of the
-    /// shard merge: each task records into its own registry, the pool
-    /// returns the per-task snapshots **in input order**, and the caller
-    /// absorbs them in that fixed order — so the merged registry is
-    /// independent of which worker ran what when.
+    /// histogram bucket counts add (bounds must match). This is how a
+    /// restored checkpoint rejoins a live registry; its names are the
+    /// only ones a registry ever owns.
     ///
     /// # Panics
     ///
     /// Panics if a histogram name collides with different bounds.
     pub fn absorb(&self, snapshot: &Snapshot) {
-        if !self.enabled {
-            return;
+        if self.mode != Mode::Off {
+            self.merge(&Inner::restored(snapshot));
         }
-        let mut inner = self.lock();
-        for (name, v) in &snapshot.counters {
-            *inner.counters.entry(name.clone()).or_insert(0) += v;
-            if name.starts_with(profile::PREFIX) {
-                inner.work_units += v;
-            }
-        }
-        for (name, hist) in &snapshot.histograms {
-            let target =
-                inner
-                    .histograms
-                    .entry(name.clone())
-                    .or_insert_with(|| HistogramSnapshot {
-                        bounds: hist.bounds.clone(),
-                        counts: vec![0; hist.counts.len()],
-                    });
-            assert_eq!(
-                target.bounds, hist.bounds,
-                "histogram {name} absorbed with different bounds"
-            );
-            for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
-                *t += s;
-            }
-        }
-        for (name, hist) in &snapshot.fhistograms {
-            let target =
-                inner
-                    .fhistograms
-                    .entry(name.clone())
-                    .or_insert_with(|| FHistogramSnapshot {
-                        edges: hist.edges.clone(),
-                        counts: vec![0; hist.counts.len()],
-                    });
-            assert!(
-                target.edges.len() == hist.edges.len()
-                    && target
-                        .edges
-                        .iter()
-                        .zip(&hist.edges)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "float histogram {name} absorbed with different edges"
-            );
-            for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
-                *t += s;
-            }
+    }
+
+    /// Adds recorded state into this registry as far as its mode
+    /// records it.
+    fn merge(&self, other: &Inner) {
+        match self.mode {
+            Mode::Off => {}
+            Mode::Clock => self.lock().work_units += other.work_units,
+            Mode::On => self.lock().merge(other),
         }
     }
 }
@@ -520,7 +638,7 @@ impl Registry {
 /// [`Registry::absorb_shard`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardState {
-    counters: Snapshot,
+    inner: Inner,
     trace: trace::TraceSnapshot,
     spans: span::SpanState,
 }
@@ -561,13 +679,7 @@ pub struct FHistogramSnapshot {
 
 impl PartialEq for FHistogramSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
-            && self.edges.len() == other.edges.len()
-            && self
-                .edges
-                .iter()
-                .zip(&other.edges)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        self.counts == other.counts && same_edges(&self.edges, &other.edges)
     }
 }
 
@@ -726,6 +838,49 @@ mod tests {
         assert!(obs.snapshot().is_empty());
         assert!(obs.notes().is_empty());
         assert!(obs.spans().snapshot().is_empty());
+    }
+
+    #[test]
+    fn shards_of_a_disabled_registry_keep_only_the_work_clock() {
+        let shard = Registry::disabled().shard();
+        assert!(!shard.is_enabled());
+        shard.inc("c");
+        shard.add("profile.a", 2);
+        shard.work("b", 3);
+        shard.record_histogram("h", &[1], 0);
+        shard.note("n", 1);
+        assert_eq!(shard.work_units(), 5);
+        assert!(shard.snapshot().is_empty());
+        assert!(shard.notes().is_empty());
+
+        let nested = shard.shard();
+        nested.work("c", 4);
+        shard.absorb_shard("", &nested.seal());
+        assert_eq!(shard.work_units(), 9);
+        Registry::disabled().absorb_shard("", &shard.seal());
+        assert_eq!(Registry::disabled().work_units(), 0);
+    }
+
+    #[test]
+    fn sealed_shards_merge_like_inline_recording() {
+        let record = |obs: &Registry| {
+            obs.inc("c");
+            obs.work("a.b", 2);
+            obs.record_histogram("h", &[1], 5);
+            obs.record_histogram_f64("fh", &[0.5], 0.1);
+        };
+        let inline = Registry::new();
+        record(&inline);
+        record(&inline);
+
+        let merged = Registry::new();
+        record(&merged);
+        let shard = merged.shard();
+        assert!(shard.is_enabled());
+        record(&shard);
+        merged.absorb_shard("", &shard.seal());
+        assert_eq!(merged.snapshot(), inline.snapshot());
+        assert_eq!(merged.work_units(), 4);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! A profile answers "where does solver effort go?" without ever
 //! reading a clock: instrumented code records **work units** — solver
 //! iterations × unknowns, Jacobian factorizations, ODE steps,
-//! Monte-Carlo trials — under dot-separated phase paths, and this
-//! module rolls the resulting counters into a tree with per-node
-//! rollups. Work units are deterministic integers, so a profile is part
-//! of the golden channel: it rides the ordinary counter namespace
-//! (every profile counter is named `profile.<path>`), is merged across
-//! parallel shards by the same input-order [`crate::Registry::absorb`]
-//! path, and is therefore **bit-identical at every `RCS_THREADS`**.
+//! Monte-Carlo trials — under dot-separated phase paths with
+//! [`crate::Registry::work`], and this module rolls the resulting
+//! counters into a tree with per-node rollups. Work units are
+//! deterministic integers, so a profile is part of the golden channel:
+//! it renders into the ordinary counter namespace (every path becomes
+//! the counter `profile.<path>` in a snapshot, and a raw `add` of such
+//! a name lands on the same path), is merged across parallel shards in
+//! the same input order as every counter, and is therefore
+//! **bit-identical at every `RCS_THREADS`**.
 //!
 //! # Examples
 //!
@@ -28,24 +30,10 @@
 
 use std::fmt::Write as _;
 
-use crate::{Registry, Snapshot};
+use crate::Snapshot;
 
 /// Counter-name prefix that marks a golden counter as profile work.
 pub const PREFIX: &str = "profile.";
-
-impl Registry {
-    /// Adds `units` of deterministic work under the dot-separated
-    /// profile path `path` (recorded as the golden counter
-    /// `profile.<path>`). Work units must be pure functions of the
-    /// workload — iteration counts, trial counts, step counts — never
-    /// wall-clock readings.
-    pub fn work(&self, path: &str, units: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.add(&format!("{PREFIX}{path}"), units);
-    }
-}
 
 /// One node of a rolled-up profile tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,6 +169,7 @@ fn render_node(node: &ProfileNode, depth: usize, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn work_records_prefixed_golden_counters() {

@@ -47,6 +47,18 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
+/// The counter, work, histogram and note calls every instrumented
+/// layer makes, on the same names each time.
+fn record_counters(obs: &Registry, i: u32) {
+    obs.inc("solver.calls");
+    obs.add("solver.iterations", u64::from(i));
+    obs.add("profile.solver.factorizations", 1);
+    obs.work("solver.sweeps", u64::from(i));
+    obs.record_histogram("solver.rung", &[1, 2, 4], u64::from(i));
+    obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
+    obs.note("workers", 4);
+}
+
 /// The trace and span calls every instrumented layer makes.
 fn record_trace_and_spans(obs: &Registry, i: u32) {
     let trace = obs.trace();
@@ -82,12 +94,7 @@ fn disabled_sinks_never_touch_the_heap() {
 
     let count = allocations_in(|| {
         for i in 0..1000u32 {
-            obs.inc("solver.calls");
-            obs.add("solver.iterations", u64::from(i));
-            obs.work("solver.sweeps", u64::from(i));
-            obs.record_histogram("solver.rung", &[1, 2, 4], u64::from(i));
-            obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
-            obs.note("workers", 4);
+            record_counters(obs, i);
             assert_eq!(
                 obs.trace().channel("t_chip", ChannelKind::Temperature),
                 chip
@@ -99,14 +106,22 @@ fn disabled_sinks_never_touch_the_heap() {
     assert_eq!(count, 0, "disabled telemetry made {count} heap allocations");
 
     // An enabled registry without a trace or spans pays nothing for
-    // them either (its counters allocate, so measure the sinks alone).
+    // them either, and once each name has been touched, nothing for
+    // its counters, work paths, histograms and notes.
     let counters_only = Registry::new();
+    record_counters(&counters_only, 0);
     let count = allocations_in(|| {
         for i in 0..1000u32 {
+            record_counters(&counters_only, i);
             record_trace_and_spans(&counters_only, i);
         }
     });
-    assert_eq!(count, 0, "trace/spans off made {count} heap allocations");
+    assert_eq!(count, 0, "repeat records made {count} heap allocations");
+    let snap = counters_only.snapshot();
+    assert_eq!(snap.counter("solver.calls"), 1001);
+    assert_eq!(snap.counter("profile.solver.sweeps"), 999 * 1000 / 2);
+    assert_eq!(snap.histogram("solver.rung").unwrap().total(), 1001);
+    assert_eq!(counters_only.notes(), vec![("workers".to_owned(), 4004)]);
 
     // And nothing was secretly buffered: the golden snapshots are empty.
     assert!(obs.snapshot().is_empty());

@@ -18,8 +18,9 @@
 //!   environment variable when set, otherwise the machine's available
 //!   parallelism;
 //! - [`par_map_observed`] — the instrumented map: every item runs on
-//!   its own [`Registry::shard`] (counters, plus the trace recorder and
-//!   span sink when the caller's registry records them) under
+//!   its own [`Registry::shard`] (counters, trace recorder and span
+//!   sink when the caller's registry records them; at least the work
+//!   clock, which per-item work budgets read) under
 //!   [`isolate`] (`catch_unwind`), so a panicking closure yields a
 //!   per-item [`WorkerPanic`] `Err` instead of poisoning the pool and
 //!   losing the rest of the batch. The shards are absorbed into the

@@ -295,18 +295,25 @@ fn degradation_respects_the_window_and_the_design_axes() {
 fn work_budgets_shed_requests_deterministically() {
     // An inflated work cost larger than the budget trips the deadline
     // before the solve runs; with an empty cache the request fails as
-    // BudgetExhausted carrying the exact spent/budget pair.
-    let queries = vec![q("family=skat util=0.9 trials=8")];
+    // BudgetExhausted carrying the exact spent/budget pair. The clean
+    // request next to it fits the budget.
+    let queries = vec![
+        q("family=skat util=0.9 trials=8"),
+        q("family=skat util=0.6 trials=8"),
+    ];
     let injector = FaultAt {
         target: 0.9,
         fault: InjectedFault::InflateWork(10_000),
     };
+    let run = |obs: &Registry| {
+        let mut engine = QueryEngine::new(4).with_policy(ResiliencePolicy {
+            work_budget: 5_000,
+            ..ResiliencePolicy::default()
+        });
+        engine.run_batch_with(&queries, 1, obs, &injector)
+    };
     let obs = Registry::new();
-    let mut engine = QueryEngine::new(4).with_policy(ResiliencePolicy {
-        work_budget: 5_000,
-        ..ResiliencePolicy::default()
-    });
-    let outcomes = engine.run_batch_with(&queries, 1, &obs, &injector);
+    let outcomes = run(&obs);
     let err = outcomes[0].error().expect("budget must trip");
     let QueryError::BudgetExhausted { spent, budget } = err else {
         panic!("expected BudgetExhausted, got {err:?}");
@@ -314,11 +321,20 @@ fn work_budgets_shed_requests_deterministically() {
     assert_eq!(*budget, 5_000);
     assert_eq!(*spent, 10_000, "exactly the injected inflation");
     assert!(!err.is_retryable());
+    assert!(outcomes[1].error().is_none(), "{:?}", outcomes[1]);
 
     let snap = obs.snapshot();
     assert_eq!(snap.counter("resilience.budget.exhausted"), 1);
     assert_eq!(snap.counter("resilience.injected.cost"), 10_000);
     assert_eq!(snap.counter("profile.resilience.injected.cost"), 10_000);
+
+    // Shards of a disabled registry keep only their work clock, and
+    // the budget reads that clock: the same requests are shed.
+    let unobserved = run(Registry::disabled());
+    assert_eq!(unobserved.len(), outcomes.len());
+    for (i, (a, b)) in outcomes.iter().zip(&unobserved).enumerate() {
+        assert!(a.bitwise_eq(b), "outcome {i} under a disabled registry");
+    }
 }
 
 #[test]
