@@ -352,7 +352,6 @@ impl McSession {
         w.f64(self.horizon_years);
         w.u64(self.trials as u64);
         w.u64(self.seed);
-        w.u64(self.threads as u64);
         self.clock.write_into(&mut w);
         w.f64_slice(&self.availabilities);
         w.u64(self.total_events);
@@ -363,8 +362,8 @@ impl McSession {
 
     /// Reconstructs a session from [`McSession::checkpoint`] bytes,
     /// restoring the captured telemetry into the (fresh) `obs`. The
-    /// thread count is *not* restored — pass the current one; the study
-    /// is bit-identical at any value.
+    /// thread count is not part of the snapshot — pass the current one;
+    /// the study is bit-identical at any value.
     ///
     /// # Errors
     ///
@@ -379,7 +378,6 @@ impl McSession {
             SnapshotError::Malformed(format!("trial count {trials_raw} overflows usize"))
         })?;
         let seed = r.u64()?;
-        let _stored_threads = r.u64()?;
         let clock = Clock::read_from(&mut r)?;
         let availabilities = r.f64_vec()?;
         let total_events = r.u64()?;
@@ -395,7 +393,7 @@ impl McSession {
                 "invalid study parameters: {trials} trials over {horizon_years} years"
             )));
         }
-        sinks.restore(obs)?;
+        sinks.restore(obs);
         Ok(Self {
             horizon_years,
             trials,

@@ -232,12 +232,6 @@ impl ControlSubsystem {
         alarms.sort_by_key(|a| core::cmp::Reverse(a.severity));
         alarms
     }
-
-    /// `true` if the scan raises no alarm at all.
-    #[must_use]
-    pub fn is_healthy(&self, r: &Readings) -> bool {
-        self.evaluate(r).is_empty()
-    }
 }
 
 /// A healthy SKAT operating-mode scan, for tests and examples.
@@ -258,7 +252,7 @@ mod tests {
     #[test]
     fn nominal_scan_is_healthy() {
         let ctl = ControlSubsystem::default();
-        assert!(ctl.is_healthy(&nominal_skat_readings()));
+        assert!(ctl.evaluate(&nominal_skat_readings()).is_empty());
     }
 
     #[test]

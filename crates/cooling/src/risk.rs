@@ -184,15 +184,6 @@ pub fn expected_annual_downtime_hours(classes: &[FailureClass]) -> f64 {
         .sum()
 }
 
-/// Expected hardware-loss events per module-year.
-#[must_use]
-pub fn expected_annual_hardware_losses(classes: &[FailureClass]) -> f64 {
-    classes
-        .iter()
-        .map(|c| c.rate_per_year * c.consequence.hardware_loss_probability)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,8 +242,15 @@ mod tests {
             expected_annual_downtime_hours(&im),
             expected_annual_downtime_hours(&cp)
         );
-        assert_eq!(expected_annual_hardware_losses(&im), 0.0);
-        assert!(expected_annual_hardware_losses(&cp) > 0.2);
+        // expected hardware-loss events per module-year
+        let losses = |classes: &[FailureClass]| -> f64 {
+            classes
+                .iter()
+                .map(|c| c.rate_per_year * c.consequence.hardware_loss_probability)
+                .sum()
+        };
+        assert_eq!(losses(&im), 0.0);
+        assert!(losses(&cp) > 0.2);
     }
 
     #[test]

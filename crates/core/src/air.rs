@@ -62,13 +62,6 @@ impl AirCooledModel {
         self
     }
 
-    /// Overrides the airflow configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: AirCooling) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Junction-to-air stack resistance of one chip at the configured
     /// airflow.
     #[must_use]
@@ -206,7 +199,6 @@ mod tests {
     use super::*;
     use rcs_devices::FpgaPart;
     use rcs_platform::Ccb;
-    use rcs_units::Velocity;
 
     #[test]
     fn calibration_is_positive_and_modest() {
@@ -294,20 +286,6 @@ mod tests {
         let us = AirCooledModel::for_module(us_module).max_utilization_below(limit);
         assert!(v6 > 0.9, "Virtex-6 sustains operating mode: {v6}");
         assert!(us < 0.5, "UltraScale collapses on air: {us}");
-    }
-
-    #[test]
-    fn more_airflow_helps() {
-        let mut fast = AirCooling::machine_room_default();
-        fast.velocity = Velocity::from_meters_per_second(6.0);
-        let base = AirCooledModel::for_module(presets::taygeta())
-            .solve()
-            .unwrap();
-        let brisk = AirCooledModel::for_module(presets::taygeta())
-            .with_config(fast)
-            .solve()
-            .unwrap();
-        assert!(brisk.junction < base.junction);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! obs_report summary [--top <n>] <file> [<file>...]
-//! obs_report diff [--profile-only] [--tol <prefix>=<rel>]... <baseline> <candidate>
+//! obs_report diff <baseline> <candidate>
 //! obs_report attribution [--top <n>] <file> [<file>...]
-//! obs_report attribution diff [--tol <prefix>=<rel>]... <baseline> <candidate>
 //! ```
 //!
 //! `summary` prints run identity, counter/histogram/trace/span
@@ -13,30 +12,25 @@
 //! profile tree, and per-trace statistics for every run document found
 //! in the given files.
 //!
-//! `diff` compares the golden channels (counters, integer and float
-//! histograms, traces, `profile.*` work accounting) of two manifest
-//! files, matching run documents by experiment name. It exits 0 when
-//! every compared channel matches (within the optional per-prefix
-//! relative tolerance bands) and 1 on any drift, missing channel, or
-//! unmatched run — the CI regression gate.
+//! `diff` compares every golden channel of two files exactly — counters
+//! (the `profile.*` work accounting included), integer and float
+//! histograms, traces, spans and span elisions — matching run documents
+//! by experiment name and spans by stable id. It exits 0 when every
+//! channel matches and 1 on any drift, missing channel, or unmatched
+//! run — the CI regression gate.
 //!
 //! `attribution` renders the span-tree rollup of each run: the top-`n`
 //! self-work spans, the critical path (heaviest-total descent from the
-//! heaviest root), and the per-path work-share table. `attribution
-//! diff` is its machine gate: spans match by stable id, their golden
-//! work figures compare within the per-path tolerance bands, and any
-//! drift, missing span, or elision change exits 1.
+//! heaviest root), and the per-path work-share table.
 
 use std::process::ExitCode;
 
-use rcs_obs::report::{self, DiffOptions, RunDoc};
+use rcs_obs::report::{self, RunDoc};
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  obs_report summary [--top <n>] <file> [<file>...]\n  obs_report diff \
-         [--profile-only] [--tol <prefix>=<rel>]... <baseline> <candidate>\n  obs_report \
-         attribution [--top <n>] <file> [<file>...]\n  obs_report attribution diff [--tol \
-         <prefix>=<rel>]... <baseline> <candidate>"
+         <baseline> <candidate>\n  obs_report attribution [--top <n>] <file> [<file>...]"
     );
     std::process::exit(2);
 }
@@ -86,36 +80,6 @@ fn parse_top_and_files(rest: &[String]) -> (usize, Vec<String>) {
     (top, files)
 }
 
-/// Parses `[--profile-only] [--tol <prefix>=<rel>]... <a> <b>` tails
-/// (shared by `diff` and `attribution diff`).
-fn parse_diff_args(rest: &[String], allow_profile_only: bool) -> (DiffOptions, String, String) {
-    let mut opts = DiffOptions::default();
-    let mut files = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--profile-only" if allow_profile_only => opts.profile_only = true,
-            "--tol" => {
-                let Some(spec) = it.next() else { usage() };
-                let Some((prefix, tol)) = spec.split_once('=') else {
-                    usage()
-                };
-                let Ok(tol) = tol.parse::<f64>() else { usage() };
-                if !(tol.is_finite() && tol >= 0.0) {
-                    usage();
-                }
-                opts.tolerances.push((prefix.to_owned(), tol));
-            }
-            _ if arg.starts_with("--") => usage(),
-            _ => files.push(arg.clone()),
-        }
-    }
-    let [baseline, candidate] = files.as_slice() else {
-        usage()
-    };
-    (opts, baseline.clone(), candidate.clone())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((mode, rest)) = args.split_first() else {
@@ -131,10 +95,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "diff" => {
-            let (opts, baseline, candidate) = parse_diff_args(rest, true);
-            let a = load(&baseline);
-            let b = load(&candidate);
-            let diff = report::diff_docs(&a, &b, &opts);
+            let [baseline, candidate] = rest else { usage() };
+            if baseline.starts_with("--") || candidate.starts_with("--") {
+                usage();
+            }
+            let diff = report::diff_docs(&load(baseline), &load(candidate));
             print!("{}", diff.render());
             if diff.has_regressions() {
                 ExitCode::FAILURE
@@ -143,18 +108,6 @@ fn main() -> ExitCode {
             }
         }
         "attribution" => {
-            if rest.first().map(String::as_str) == Some("diff") {
-                let (opts, baseline, candidate) = parse_diff_args(&rest[1..], false);
-                let a = load(&baseline);
-                let b = load(&candidate);
-                let diff = report::diff_spans_docs(&a, &b, &opts);
-                print!("{}", diff.render());
-                return if diff.has_regressions() {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                };
-            }
             let (top, files) = parse_top_and_files(rest);
             for path in &files {
                 let docs = load(path);

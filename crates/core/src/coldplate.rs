@@ -47,13 +47,6 @@ impl ColdPlateModel {
         }
     }
 
-    /// Uses an explicit loop configuration.
-    #[must_use]
-    pub fn with_loop(mut self, loop_: ColdPlateLoop) -> Self {
-        self.loop_ = loop_;
-        self
-    }
-
     /// Overrides the operating point.
     #[must_use]
     pub fn with_operating_point(mut self, op: OperatingPoint) -> Self {
@@ -138,16 +131,6 @@ mod tests {
         // thermally competitive with immersion...
         assert!(r.junction.degrees() < 60.0, "Tj = {}", r.junction);
         assert!(r.coolant_hot.degrees() < 40.0);
-    }
-
-    #[test]
-    fn per_board_plates_run_hotter_than_per_chip() {
-        let per_chip = ColdPlateModel::for_module(presets::skat()).solve().unwrap();
-        let per_board = ColdPlateModel::for_module(presets::skat())
-            .with_loop(rcs_cooling::ColdPlateLoop::per_board_plates(12))
-            .solve()
-            .unwrap();
-        assert!(per_board.junction > per_chip.junction);
     }
 
     #[test]

@@ -29,6 +29,17 @@ const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 120, 400, 1200];
 /// Coupled-ladder rung histogram bounds: rung 0 (default damping), 1, 2.
 const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
 
+/// `(damping, max_iter)` rungs of [`ImmersionModel::solve_robust_observed`]:
+/// the default damping first, then two heavier-damped re-solves.
+/// `damping` is the blend factor toward the new iterate; smaller is
+/// heavier.
+const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
+
+/// `(damping, max_iter)` rungs of [`ImmersionModel::solve_retry`]:
+/// heavier damping than the last [`LADDER`] rung, with matching
+/// iteration headroom.
+const RETRY_LADDER: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
+
 /// The coupled model of one immersion-cooled computational module:
 /// hydraulic operating point → sink convection → ε-NTU heat exchange →
 /// chiller supply → temperature-dependent FPGA power, iterated to a fixed
@@ -328,7 +339,6 @@ impl ImmersionModel {
     #[allow(clippy::cast_precision_loss)]
     pub fn solve_robust_observed(&self, obs: &Registry) -> Result<SteadyReport, CoreError> {
         use rcs_obs::trace::ChannelKind;
-        const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
         let trace = obs.trace();
         obs.inc("immersion.ladder.calls");
         obs.enter("immersion.ladder");
@@ -395,31 +405,20 @@ impl ImmersionModel {
         Err(last.expect("ladder has at least one rung"))
     }
 
-    /// Solves with one explicit damping rung outside the standard
-    /// ladder — the hook the query layer's deterministic retry ladder
-    /// uses to push past [`ImmersionModel::solve_robust_observed`] with
-    /// progressively heavier damping (`damping` is the blend factor
-    /// toward the new iterate; smaller is heavier). Work done by the
-    /// fixed point lands on `profile.immersion.fixed_point_iterations`
-    /// whether or not the rung converges, so work-unit budgets see every
-    /// retry attempt.
+    /// Solves on rung `retry` of the retry ladder past
+    /// [`ImmersionModel::solve_robust_observed`] — the hook behind the
+    /// query layer's deterministic retries. Retry 0 is the first rung;
+    /// a `retry` past the last rung reuses the last (heaviest) one.
+    /// Work done by the fixed point lands on
+    /// `profile.immersion.fixed_point_iterations` whether or not the
+    /// rung converges, so work-unit budgets see every retry attempt.
     ///
     /// # Errors
     ///
     /// As [`ImmersionModel::solve`]: [`CoreError::NoConvergence`] when
     /// the rung's iteration budget runs out, substrate errors verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `damping` is not in `(0, 1]` or `max_iter` is zero.
-    pub fn solve_with_damping(
-        &self,
-        damping: f64,
-        max_iter: usize,
-        obs: &Registry,
-    ) -> Result<SteadyReport, CoreError> {
-        assert!(damping > 0.0 && damping <= 1.0, "damping must be in (0, 1]");
-        assert!(max_iter > 0, "max_iter must be positive");
+    pub fn solve_retry(&self, retry: usize, obs: &Registry) -> Result<SteadyReport, CoreError> {
+        let (damping, max_iter) = RETRY_LADDER[retry.min(RETRY_LADDER.len() - 1)];
         let result = self.solve_damped(damping, max_iter, obs);
         match &result {
             Ok(report) => {
@@ -547,55 +546,6 @@ impl ImmersionModel {
             chiller_power: self.bath.chiller.electrical_power(total + pump_heat),
             iterations,
         })
-    }
-
-    /// Per-chip junction temperatures along one board's flow direction.
-    ///
-    /// Oil enters a board at the cold bath temperature and heats up chip
-    /// by chip, so the streamwise-last FPGA is the "maximum FPGA
-    /// temperature" the paper reports. Returns one entry per chip
-    /// position, upstream first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates coupled-solver failures.
-    pub fn chip_profile(&self) -> Result<Vec<(usize, Celsius)>, CoreError> {
-        let steady = self.solve()?;
-        let chips_per_board = self.module.ccb().compute_fpga_count();
-        let boards = self.module.ccb_count() as f64;
-        let oil_bulk =
-            Celsius::new(0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()));
-        let oil = self.bath.coolant.state(oil_bulk);
-        // each board gets an equal share of the circulated flow
-        let per_board_flow = VolumeFlow::from_cubic_meters_per_second(
-            steady.coolant_flow.cubic_meters_per_second() / boards,
-        );
-        let c_board: ThermalCapacityRate = (per_board_flow * oil.density) * oil.specific_heat;
-        let stack = self.chip_stack();
-        let r = stack.total_resistance(&oil, steady.sink_velocity);
-        let chip_p = steady.chip_power;
-        // board overhead heats the stream too, spread evenly
-        let overhead_per_chip = Power::from_watts(
-            (self
-                .module
-                .ccb()
-                .board_power(self.op, steady.junction)
-                .watts()
-                - chip_p.watts() * chips_per_board as f64)
-                / chips_per_board as f64,
-        );
-
-        let mut local = steady.coolant_cold;
-        let mut profile = Vec::with_capacity(chips_per_board);
-        for i in 0..chips_per_board {
-            // the chip sees oil warmed by everything upstream plus half of
-            // its own heat (mid-chip reference)
-            let half = Power::from_watts(0.5 * (chip_p + overhead_per_chip).watts());
-            let mid = local + half / c_board;
-            profile.push((i, mid + chip_p * r));
-            local += (chip_p + overhead_per_chip) / c_board;
-        }
-        Ok(profile)
     }
 
     /// Simulates the module warm-up from a cold start (Fig. 2's heat
@@ -975,24 +925,6 @@ mod tests {
         );
         // and it takes minutes, not seconds (the oil mass is big)
         assert!(trace.settling_time(0.5).seconds() > 120.0);
-    }
-
-    #[test]
-    fn chip_profile_rises_along_the_flow() {
-        let model = ImmersionModel::skat();
-        let profile = model.chip_profile().unwrap();
-        assert_eq!(profile.len(), 8);
-        for w in profile.windows(2) {
-            assert!(w[1].1 > w[0].1, "streamwise heating must be monotone");
-        }
-        // the hottest chip stays within the paper's envelope and near the
-        // lumped solve's junction figure
-        let steady = model.solve().unwrap();
-        let hottest = profile.last().unwrap().1;
-        assert!(hottest.degrees() <= 55.0, "hottest chip {hottest}");
-        assert!((hottest.degrees() - steady.junction.degrees()).abs() < 3.0);
-        // and the first chip is visibly cooler
-        assert!((hottest - profile[0].1).kelvins() > 0.3);
     }
 
     #[test]

@@ -20,6 +20,9 @@ use crate::error::CoreError;
 use crate::immersion::ImmersionModel;
 use crate::report::SteadyReport;
 
+/// Iteration budget of the shared-chiller supply fixed point.
+const SUPPLY_ITERATIONS: usize = 20;
+
 /// A rack of identical immersion-cooled modules on a shared secondary
 /// loop.
 ///
@@ -117,7 +120,10 @@ impl RackImmersionModel {
     ///
     /// # Errors
     ///
-    /// Propagates substrate and convergence failures.
+    /// Propagates substrate and per-module convergence failures, and
+    /// returns [`CoreError::NoConvergence`] (last supply step as
+    /// `residual_k`) when the shared-chiller supply has not settled
+    /// within its iteration budget.
     pub fn solve(&self) -> Result<RackReport, CoreError> {
         // 1. Manifold flow distribution at the chiller setpoint. The
         //    distribution is not re-solved if an overloaded chiller raises
@@ -133,7 +139,9 @@ impl RackImmersionModel {
         let mut supply = self.facility_chiller.setpoint();
         let mut per_module: Vec<SteadyReport> = Vec::new();
         let mut total_heat = Power::ZERO;
-        for _ in 0..20 {
+        let mut converged = false;
+        let mut last_step = 0.0;
+        for _ in 0..SUPPLY_ITERATIONS {
             per_module.clear();
             total_heat = Power::ZERO;
             for flow in &water_flows {
@@ -150,11 +158,18 @@ impl RackImmersionModel {
                 per_module.push(report);
             }
             let next_supply = self.facility_chiller.supply_temperature(total_heat);
-            if (next_supply - supply).kelvins().abs() < 1e-6 {
-                supply = next_supply;
+            last_step = (next_supply - supply).kelvins().abs();
+            supply = next_supply;
+            if last_step < 1e-6 {
+                converged = true;
                 break;
             }
-            supply = next_supply;
+        }
+        if !converged {
+            return Err(CoreError::NoConvergence {
+                iterations: SUPPLY_ITERATIONS,
+                residual_k: Some(last_step),
+            });
         }
 
         Ok(RackReport {
@@ -242,6 +257,26 @@ mod tests {
             .solve()
             .unwrap();
         assert!(direct.junction_spread_k().unwrap() > reverse.junction_spread_k().unwrap());
+    }
+
+    #[test]
+    fn an_unsettled_chiller_supply_is_a_convergence_error() {
+        // ~10 kW of module heat on a 3 kW chiller: every supply step
+        // raises the heat enough to keep the supply moving past the
+        // iteration budget, while each module solve still converges.
+        let err = RackImmersionModel::skat_rack(1)
+            .with_chiller(Chiller::new(Celsius::new(20.0), Power::kilowatts(3.0), 4.5))
+            .solve()
+            .unwrap_err();
+        let CoreError::NoConvergence {
+            iterations,
+            residual_k: Some(step),
+        } = err
+        else {
+            panic!("expected a supply NoConvergence, got {err:?}");
+        };
+        assert_eq!(iterations, SUPPLY_ITERATIONS);
+        assert!(step.is_finite() && step >= 1e-6, "last step {step} K");
     }
 
     #[test]

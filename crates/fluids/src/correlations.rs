@@ -212,17 +212,6 @@ pub fn pin_bank_row_correction(rows: usize) -> f64 {
     }
 }
 
-/// Churchill-Chu correlation for natural convection from a vertical plate,
-/// valid over the full Rayleigh range:
-/// `Nu = (0.825 + 0.387 Ra^{1/6} / [1 + (0.492/Pr)^{9/16}]^{8/27})²`.
-#[must_use]
-pub fn nu_natural_vertical_plate(rayleigh: f64, pr: Prandtl) -> Nusselt {
-    let ra = rayleigh.max(0.0);
-    let denom = (1.0 + (0.492 / pr.value()).powf(9.0 / 16.0)).powf(8.0 / 27.0);
-    let nu = (0.825 + 0.387 * ra.powf(1.0 / 6.0) / denom).powi(2);
-    Nusselt::new(nu)
-}
-
 /// Volumetric thermal-expansion coefficient `beta = −(1/rho) · d rho/dT` in
 /// 1/K, estimated by central finite difference on the coolant's property
 /// table.
@@ -358,14 +347,6 @@ mod tests {
             last = c;
         }
         assert_eq!(pin_bank_row_correction(25), 1.0);
-    }
-
-    #[test]
-    fn natural_convection_grows_with_rayleigh() {
-        let pr = Prandtl::new(6.0);
-        let a = nu_natural_vertical_plate(1e4, pr).value();
-        let b = nu_natural_vertical_plate(1e8, pr).value();
-        assert!(b > 5.0 * a);
     }
 
     #[test]

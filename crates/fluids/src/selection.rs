@@ -61,25 +61,6 @@ impl CoolantCriteria {
         }
     }
 
-    /// Closed-loop (cold-plate) priorities: the coolant never touches
-    /// electronics by design, so raw heat transport dominates and dielectric
-    /// strength is worth nothing.
-    #[must_use]
-    pub fn closed_loop_default() -> Self {
-        Self {
-            evaluation_temperature: Celsius::new(40.0),
-            require_immersion_grade: false,
-            dielectric: 0.0,
-            heat_capacity: 3.0,
-            conductivity: 3.0,
-            low_viscosity: 1.5,
-            fire_safety: 1.0,
-            low_toxicity: 1.0,
-            stability: 1.0,
-            low_cost: 1.5,
-        }
-    }
-
     fn weight_sum(&self) -> f64 {
         self.dielectric
             + self.heat_capacity
@@ -251,12 +232,6 @@ mod tests {
         assert!(oil_pos < water_pos);
         assert!(ranked[water_pos].disqualified);
         assert!(!ranked[oil_pos].disqualified);
-    }
-
-    #[test]
-    fn closed_loop_criteria_prefer_water() {
-        let ranked = rank(&all_coolants(), &CoolantCriteria::closed_loop_default());
-        assert_eq!(ranked[0].coolant, "water");
     }
 
     #[test]

@@ -1181,11 +1181,11 @@ mod tests {
         net.add_branch("bc2", b, c, vec![pipe(18.0)]).unwrap();
         net.add_branch("pump", c, a, vec![pump()]).unwrap();
         let sol = net.solve(&water()).unwrap();
-        for j in 0..net.junction_count() {
-            let res = sol.continuity_residual(crate::JunctionId(j));
+        for j in net.junction_ids() {
+            let res = sol.continuity_residual(j);
             assert!(
                 res.cubic_meters_per_second().abs() < 1e-8,
-                "junction {j}: {res:?}"
+                "junction {j:?}: {res:?}"
             );
         }
     }

@@ -227,18 +227,6 @@ impl Clock {
         }
     }
 
-    /// Drives `f` for at most `max_steps` ticks, returning how many
-    /// were actually taken (fewer when the grid ran out).
-    pub fn drive(&mut self, max_steps: u64, mut f: impl FnMut(Tick)) -> u64 {
-        let mut taken = 0;
-        while taken < max_steps {
-            let Some(tick) = self.tick() else { break };
-            f(tick);
-            taken += 1;
-        }
-        taken
-    }
-
     /// Serializes the cursor (grid + position + accumulated time) into
     /// `w`.
     pub fn write_into(&self, w: &mut SnapWriter) {
@@ -385,17 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_respects_the_budget_and_reports_short_grids() {
-        let mut c = Clock::counted(5);
-        let mut seen = Vec::new();
-        assert_eq!(c.drive(3, |t| seen.push(t.index)), 3);
-        assert_eq!(c.drive(99, |t| seen.push(t.index)), 2);
-        assert_eq!(c.drive(99, |_| unreachable!()), 0);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert!(c.is_finished());
-    }
-
-    #[test]
     fn a_resumed_clock_finishes_identically_to_a_straight_run() {
         for (mk, split) in [
             (Clock::uniform(0.5, 0.1, 17), 6u64),
@@ -406,8 +383,7 @@ mod tests {
             let straight = all_ticks(mk.clone());
 
             let mut front = mk.clone();
-            let mut ticks = Vec::new();
-            front.drive(split, |t| ticks.push(t));
+            let mut ticks: Vec<Tick> = (0..split).map_while(|_| front.tick()).collect();
             let mut w = SnapWriter::new();
             front.write_into(&mut w);
             let bytes = w.into_bytes();

@@ -28,19 +28,15 @@ use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 
 /// Captured state of one run's observability sinks: the golden
 /// [`Registry`] snapshot plus the full trace-recorder state (channels,
-/// samples, decimation cursors, capacity, enablement) plus the full
-/// span-sink state (closed tree, elision summaries, open stack).
+/// samples, decimation cursors) plus the full span-sink state (closed
+/// tree, elision summaries, open stack).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkState {
     /// Golden counters / histograms at capture time.
     pub obs: Snapshot,
     /// Trace channels at capture time, including decimation cursors.
+    /// Empty when the captured recorder was off.
     pub trace: TraceSnapshot,
-    /// Capacity of the captured recorder — restore targets must match,
-    /// or decimation would diverge from the straight-through run.
-    pub trace_capacity: usize,
-    /// Whether the captured recorder was enabled at all.
-    pub trace_enabled: bool,
     /// Span tree at capture time, open stack included. Empty when the
     /// captured sink was disabled (or the state predates spans).
     pub spans: SpanState,
@@ -53,12 +49,9 @@ impl SinkState {
     /// on the restored sink. A sink that is off captures empty.
     #[must_use]
     pub fn capture(obs: &Registry) -> Self {
-        let trace = obs.trace();
         Self {
             obs: obs.snapshot(),
-            trace: trace.snapshot(),
-            trace_capacity: trace.capacity(),
-            trace_enabled: trace.is_enabled(),
+            trace: obs.trace().snapshot(),
             spans: obs.spans().snapshot(),
         }
     }
@@ -71,28 +64,10 @@ impl SinkState {
     ///
     /// A sink that is off on `obs` is skipped silently — that matches
     /// what a straight-through run against the same registry records.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when the target recorder is enabled
-    /// with a different capacity than the captured one: future
-    /// decimation would then diverge from the uninterrupted run, which
-    /// breaks the resume-equivalence contract.
-    pub fn restore(&self, obs: &Registry) -> Result<(), SnapshotError> {
+    pub fn restore(&self, obs: &Registry) {
         obs.absorb(&self.obs);
-        let trace = obs.trace();
-        if trace.is_enabled() {
-            if self.trace_enabled && trace.capacity() != self.trace_capacity {
-                return Err(SnapshotError::Malformed(format!(
-                    "trace capacity mismatch: snapshot captured at {}, restore target has {}",
-                    self.trace_capacity,
-                    trace.capacity()
-                )));
-            }
-            trace.restore_channels(&self.trace);
-        }
+        obs.trace().restore_channels(&self.trace);
         obs.spans().restore(&self.spans);
-        Ok(())
     }
 
     /// Serializes the sink state into `w`.
@@ -114,9 +89,6 @@ impl SinkState {
             w.f64_slice(&h.edges);
             w.u64_slice(&h.counts);
         }
-        w.bool(self.trace_enabled);
-        // A capacity, not a byte length — skip the length sanity bound.
-        w.u64(self.trace_capacity as u64);
         w.count(self.trace.channels.len());
         for ch in &self.trace.channels {
             w.str(&ch.name);
@@ -205,11 +177,6 @@ impl SinkState {
             let counts = r.u64_vec()?;
             fhistograms.push((name, FHistogramSnapshot { edges, counts }));
         }
-        let trace_enabled = r.bool()?;
-        let raw_capacity = r.u64()?;
-        let trace_capacity = usize::try_from(raw_capacity).map_err(|_| {
-            SnapshotError::Malformed(format!("trace capacity {raw_capacity} overflows usize"))
-        })?;
         let n = r.count()?;
         let mut channels = Vec::with_capacity(n);
         for _ in 0..n {
@@ -245,8 +212,6 @@ impl SinkState {
                 fhistograms,
             },
             trace: TraceSnapshot { channels },
-            trace_capacity,
-            trace_enabled,
             spans,
         })
     }
@@ -329,19 +294,20 @@ impl SinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcs_obs::span::SpanSink;
+    use rcs_obs::span::{SpanSink, FANOUT};
     use rcs_obs::trace::TraceRecorder;
 
-    /// A fresh registry with a capacity-`capacity` trace and a fan-out-2
-    /// span sink.
-    fn sinks(capacity: usize) -> Registry {
+    /// A fresh registry with a trace recorder and a span sink.
+    fn sinks() -> Registry {
         Registry::new()
-            .with_trace(TraceRecorder::with_capacity(capacity))
-            .with_spans(SpanSink::with_fanout(2))
+            .with_trace(TraceRecorder::new())
+            .with_spans(SpanSink::new())
     }
 
+    /// Pushes past the trace capacity and past the span fan-out cap, so
+    /// the checkpoint carries a decimated channel and an elision.
     fn busy_sinks() -> Registry {
-        let obs = sinks(8);
+        let obs = sinks();
         obs.inc("kernel.test.runs");
         obs.add("kernel.test.items", 41);
         obs.record_histogram("kernel.test.sizes", &[2, 4, 8], 5);
@@ -349,12 +315,12 @@ mod tests {
         obs.record_histogram_f64("kernel.test.temps", &[10.0, 20.0], 14.25);
         let trace = obs.trace();
         let ch = trace.channel("kernel.test.temp", ChannelKind::Temperature);
-        for i in 0..37 {
+        for i in 0..1037 {
             trace.record(ch, f64::from(i) * 0.5, 20.0 + f64::from(i));
         }
         obs.enter("session");
         obs.work("kernel.test.work", 6);
-        for _ in 0..4 {
+        for _ in 0..FANOUT + 4 {
             obs.enter("step");
             obs.work("kernel.test.work", 2);
             obs.exit();
@@ -368,6 +334,12 @@ mod tests {
         let obs = busy_sinks();
         let state = SinkState::capture(&obs);
         assert_eq!(state.spans.stack.len(), 1, "mid-span checkpoint");
+        assert!(state.trace.channels[0].stride > 1, "decimated channel");
+        assert_eq!(
+            state.spans.nodes[0].elided,
+            vec![("step".to_owned(), 4, 8)],
+            "elided siblings"
+        );
 
         let mut w = SnapWriter::new();
         state.write_into(&mut w);
@@ -377,8 +349,8 @@ mod tests {
         assert!(r.is_exhausted());
         assert_eq!(decoded, state);
 
-        let obs2 = sinks(8);
-        decoded.restore(&obs2).unwrap();
+        let obs2 = sinks();
+        decoded.restore(&obs2);
         assert_eq!(obs2.snapshot(), obs.snapshot());
         assert_eq!(obs2.work_units(), obs.work_units());
         assert_eq!(obs2.trace().snapshot(), obs.trace().snapshot());
@@ -392,7 +364,7 @@ mod tests {
             let ch = o
                 .trace()
                 .channel("kernel.test.temp", ChannelKind::Temperature);
-            for i in 37..200 {
+            for i in 1037..3000 {
                 o.trace()
                     .record(ch, f64::from(i) * 0.5, 20.0 + f64::from(i));
             }
@@ -408,13 +380,13 @@ mod tests {
 
     #[test]
     fn capture_without_spans_keeps_spans_empty() {
-        let obs = Registry::new().with_trace(TraceRecorder::with_capacity(8));
+        let obs = Registry::new().with_trace(TraceRecorder::new());
         obs.inc("kernel.test.runs");
         obs.enter("invisible");
         let state = SinkState::capture(&obs);
         assert!(state.spans.is_empty());
-        let obs2 = Registry::new().with_trace(TraceRecorder::with_capacity(8));
-        state.restore(&obs2).unwrap();
+        let obs2 = Registry::new().with_trace(TraceRecorder::new());
+        state.restore(&obs2);
         assert_eq!(obs2.snapshot(), obs.snapshot());
     }
 
@@ -422,19 +394,10 @@ mod tests {
     fn restore_into_disabled_sinks_is_a_silent_noop() {
         let state = SinkState::capture(&busy_sinks());
         let obs2 = Registry::disabled();
-        state.restore(obs2).unwrap();
+        state.restore(obs2);
         assert!(obs2.snapshot().counters.is_empty());
         assert!(obs2.trace().snapshot().is_empty());
         assert!(obs2.spans().snapshot().is_empty());
-    }
-
-    #[test]
-    fn capacity_mismatch_is_a_structured_error() {
-        let state = SinkState::capture(&busy_sinks());
-        assert!(matches!(
-            state.restore(&sinks(16)),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]
@@ -451,7 +414,7 @@ mod tests {
 
     #[test]
     fn out_of_range_span_index_is_rejected() {
-        let obs = sinks(8);
+        let obs = sinks();
         obs.enter("only");
         obs.exit();
         let mut state = SinkState::capture(&obs);

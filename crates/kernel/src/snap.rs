@@ -24,8 +24,11 @@ pub const MAGIC: [u8; 4] = *b"RCSK";
 /// Wire-format version. Bump on any layout change: an old reader must
 /// reject a new snapshot (and vice versa) rather than misparse it.
 /// v2: `SinkState` carries the span-tree state (nodes, elisions, open
-/// stack) after the trace channels.
-pub const FORMAT_VERSION: u32 = 2;
+/// stack) after the trace channels. v3: `SinkState` drops the trace
+/// recorder's enablement flag and capacity (the capacity is the fixed
+/// `rcs_obs::trace::CAPACITY`), and the Monte-Carlo session drops its
+/// thread count.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A structured snapshot decoding failure. Every variant names what the
 /// reader expected and what it found, so a corrupted checkpoint is

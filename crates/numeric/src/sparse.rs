@@ -241,14 +241,6 @@ impl SparseSymbolic {
         self.diag[r]
     }
 
-    /// Flop-proportional size of one numeric factorization: the number
-    /// of multiply-subtract update pairs in the schedule. Dense
-    /// elimination of the same system would pay roughly `n³/3`.
-    #[must_use]
-    pub fn factor_ops(&self) -> usize {
-        self.below_dst_idx.len()
-    }
-
     /// Factors the assembled values in place and solves for `rhs`,
     /// which is overwritten with the solution.
     ///
@@ -469,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_ops_scale_linearly_on_banded_ladders() {
+    fn factor_schedule_scales_linearly_on_banded_ladders() {
         // Segmented supply/return headers (the layout builder's actual
         // manifold shape) give a banded incidence pattern: natural-order
         // elimination produces O(1) fill per node, so the schedule is
@@ -490,11 +482,13 @@ mod tests {
             edges.push((2 * i, 2 * i + 1)); // rack loop at each segment
         }
         let sym = SparseSymbolic::analyze(n, &edges);
+        // one multiply-subtract update pair per scheduled entry; dense
+        // elimination of the same system would pay roughly n³/3
+        let pairs = sym.below_dst_idx.len();
         let dense_pairs = n * n * n / 3;
         assert!(
-            sym.factor_ops() * 20 < dense_pairs,
-            "schedule {} update pairs should be far below dense ~{dense_pairs}",
-            sym.factor_ops()
+            pairs * 20 < dense_pairs,
+            "schedule {pairs} update pairs should be far below dense ~{dense_pairs}"
         );
     }
 }

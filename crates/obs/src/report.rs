@@ -3,12 +3,13 @@
 //! This module is the library behind the `obs_report` binary: it parses
 //! the NDJSON emitted by [`crate::manifest`] and [`crate::trace`] back
 //! into [`RunDoc`]s, renders human-readable cross-run summaries, and
-//! diffs two runs' golden counters, profile trees, and traced channels
-//! with per-channel tolerance bands. The diff is what CI runs between
-//! the `RCS_THREADS=1` and `RCS_THREADS=4` legs of `exp_all` and
-//! against the committed golden profiles — a drifted counter, profile
-//! node, or trace sample turns into a nonzero exit code instead of a
-//! silently different float on stdout.
+//! diffs two runs' golden channels exactly: counters (the `profile.*`
+//! work accounting included), histograms, traced channels, span trees
+//! and span elisions. The diff is what CI runs between the
+//! `RCS_THREADS=1` and `RCS_THREADS=4` legs of `exp_all` and against
+//! every committed golden — a drifted counter, profile node, trace
+//! sample or span turns into a nonzero exit code instead of a silently
+//! different float on stdout.
 //!
 //! Only the golden channel is compared: `note` lines are parsed and
 //! discarded, because they legitimately vary run to run, and so are the
@@ -533,35 +534,12 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<RunDoc>, String> {
 // Diffing.
 // ---------------------------------------------------------------------
 
-/// Options for [`diff`] / [`diff_docs`].
-#[derive(Debug, Clone, Default)]
-pub struct DiffOptions {
-    /// Compare only the `profile.*` counter namespace (the committed
-    /// golden-profile check).
-    pub profile_only: bool,
-    /// `(name_prefix, relative_tolerance)` bands; the longest matching
-    /// prefix wins, default tolerance is 0 (exact).
-    pub tolerances: Vec<(String, f64)>,
-}
-
-impl DiffOptions {
-    /// The relative tolerance for channel `name`.
-    #[must_use]
-    pub fn tolerance(&self, name: &str) -> f64 {
-        self.tolerances
-            .iter()
-            .filter(|(prefix, _)| name.starts_with(prefix.as_str()))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map_or(0.0, |(_, tol)| *tol)
-    }
-}
-
 /// One diff finding (always a regression: matching channels produce no
 /// finding).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
-    /// Channel class: `"counter"`, `"profile"`, `"histogram"`,
-    /// `"fhistogram"`, `"trace"`, or `"run"`.
+    /// Channel class: `"counter"`, `"histogram"`, `"fhistogram"`,
+    /// `"trace"`, `"span"`, `"span_elided"`, or `"run"`.
     pub kind: &'static str,
     /// Channel name.
     pub name: String,
@@ -585,13 +563,6 @@ impl DiffReport {
         !self.findings.is_empty()
     }
 
-    /// The process exit code the `obs_report` binary returns: 0 clean,
-    /// 1 on any regression.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        i32::from(self.has_regressions())
-    }
-
     /// Renders the report as text: a `PASS`/`FAIL` verdict line plus
     /// one line per finding.
     #[must_use]
@@ -612,47 +583,29 @@ impl DiffReport {
         }
         out
     }
-
-    fn merge(&mut self, other: DiffReport) {
-        self.findings.extend(other.findings);
-        self.compared += other.compared;
-    }
 }
 
-fn within(a: f64, b: f64, tol: f64) -> bool {
-    if a.is_nan() && b.is_nan() {
-        return true;
-    }
-    if a == b {
-        return true;
-    }
-    (a - b).abs() <= tol * a.abs().max(b.abs())
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn within_u64(a: u64, b: u64, tol: f64) -> bool {
-    a == b || (a as f64 - b as f64).abs() <= tol * (a.max(b) as f64)
+/// Exact float equality, except that a NaN (an exported `null`)
+/// matches a NaN.
+fn same(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
 }
 
 fn diff_map<V, F>(
     kind: &'static str,
     a: &BTreeMap<String, V>,
     b: &BTreeMap<String, V>,
-    keep: impl Fn(&str) -> bool,
     compare: F,
     report: &mut DiffReport,
 ) where
-    F: Fn(&str, &V, &V) -> Option<String>,
+    F: Fn(&V, &V) -> Option<String>,
 {
     let names: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
     for name in names {
-        if !keep(name) {
-            continue;
-        }
         report.compared += 1;
         match (a.get(name.as_str()), b.get(name.as_str())) {
             (Some(va), Some(vb)) => {
-                if let Some(detail) = compare(name, va, vb) {
+                if let Some(detail) = compare(va, vb) {
                     report.findings.push(Finding {
                         kind,
                         name: name.clone(),
@@ -675,52 +628,35 @@ fn diff_map<V, F>(
     }
 }
 
-/// Diffs two runs' golden channels under `opts`. `a` is the baseline
-/// (golden) run, `b` the candidate.
-#[must_use]
-pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
-    let profile_only = opts.profile_only;
+/// Diffs every golden channel of two runs exactly into `report`:
+/// counters, histograms, float histograms, traces (NaN matches NaN),
+/// spans and span elisions. `a` is the baseline (golden) run, `b` the
+/// candidate.
+fn diff_run(a: &RunDoc, b: &RunDoc, report: &mut DiffReport) {
     diff_map(
-        if profile_only { "profile" } else { "counter" },
+        "counter",
         &a.counters,
         &b.counters,
-        |name| !profile_only || name.starts_with(profile::PREFIX),
-        |name, &va, &vb| {
-            let tol = opts.tolerance(name);
-            (!within_u64(va, vb, tol))
-                .then(|| format!("baseline {va} vs candidate {vb} (tol {tol})"))
-        },
-        &mut report,
+        |va, vb| (va != vb).then(|| format!("baseline {va} vs candidate {vb}")),
+        report,
     );
-    if profile_only {
-        return report;
-    }
     diff_map(
         "histogram",
         &a.histograms,
         &b.histograms,
-        |_| true,
-        |name, (bounds_a, counts_a), (bounds_b, counts_b)| {
+        |(bounds_a, counts_a), (bounds_b, counts_b)| {
             if bounds_a != bounds_b {
                 return Some("bucket bounds differ".to_owned());
             }
-            let tol = opts.tolerance(name);
-            (counts_a.len() != counts_b.len()
-                || counts_a
-                    .iter()
-                    .zip(counts_b)
-                    .any(|(&ca, &cb)| !within_u64(ca, cb, tol)))
-            .then(|| format!("counts {counts_a:?} vs {counts_b:?} (tol {tol})"))
+            (counts_a != counts_b).then(|| format!("counts {counts_a:?} vs {counts_b:?}"))
         },
-        &mut report,
+        report,
     );
     diff_map(
         "fhistogram",
         &a.fhistograms,
         &b.fhistograms,
-        |_| true,
-        |name, (edges_a, counts_a), (edges_b, counts_b)| {
+        |(edges_a, counts_a), (edges_b, counts_b)| {
             if edges_a.len() != edges_b.len()
                 || edges_a
                     .iter()
@@ -729,22 +665,15 @@ pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
             {
                 return Some("bucket edges differ".to_owned());
             }
-            let tol = opts.tolerance(name);
-            (counts_a.len() != counts_b.len()
-                || counts_a
-                    .iter()
-                    .zip(counts_b)
-                    .any(|(&ca, &cb)| !within_u64(ca, cb, tol)))
-            .then(|| format!("counts {counts_a:?} vs {counts_b:?} (tol {tol})"))
+            (counts_a != counts_b).then(|| format!("counts {counts_a:?} vs {counts_b:?}"))
         },
-        &mut report,
+        report,
     );
     diff_map(
         "trace",
         &a.traces,
         &b.traces,
-        |_| true,
-        |name, ta, tb| {
+        |ta, tb| {
             if ta.kind != tb.kind {
                 return Some(format!("kind {} vs {}", ta.kind, tb.kind));
             }
@@ -761,37 +690,25 @@ pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
                     tb.samples.len()
                 ));
             }
-            let tol = opts.tolerance(name);
             for (i, ((t_a, v_a), (t_b, v_b))) in ta.samples.iter().zip(&tb.samples).enumerate() {
-                if !within(*t_a, *t_b, tol) || !within(*v_a, *v_b, tol) {
+                if !same(*t_a, *t_b) || !same(*v_a, *v_b) {
                     return Some(format!(
-                        "sample {i} drifted: ({t_a}, {v_a}) vs ({t_b}, {v_b}) (tol {tol})"
+                        "sample {i} drifted: ({t_a}, {v_a}) vs ({t_b}, {v_b})"
                     ));
                 }
             }
             None
         },
-        &mut report,
+        report,
     );
-    report
+    diff_span_tree(a, b, report);
 }
 
 /// Diffs two parsed files run by run, matching documents by experiment
 /// name (headerless fragments match the headerless fragment on the
 /// other side). A run present on only one side is itself a regression.
 #[must_use]
-pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
-    diff_runs(a, b, |da, db| diff(da, db, opts))
-}
-
-/// Matches the runs of two parsed files by experiment name and merges
-/// `per_run` over every matched pair; a run present on only one side
-/// is a `run` finding.
-fn diff_runs(
-    a: &[RunDoc],
-    b: &[RunDoc],
-    per_run: impl Fn(&RunDoc, &RunDoc) -> DiffReport,
-) -> DiffReport {
+pub fn diff_docs(a: &[RunDoc], b: &[RunDoc]) -> DiffReport {
     let mut report = DiffReport::default();
     let index = |docs: &[RunDoc]| -> BTreeMap<String, usize> {
         docs.iter()
@@ -804,7 +721,7 @@ fn diff_runs(
     let names: std::collections::BTreeSet<&String> = ia.keys().chain(ib.keys()).collect();
     for name in names {
         match (ia.get(name.as_str()), ib.get(name.as_str())) {
-            (Some(&da), Some(&db)) => report.merge(per_run(&a[da], &b[db])),
+            (Some(&da), Some(&db)) => diff_run(&a[da], &b[db], &mut report),
             (present, _) => {
                 report.compared += 1;
                 let detail = if present.is_some() {
@@ -1086,14 +1003,11 @@ pub fn attribution(docs: &[RunDoc], top: usize) -> String {
     out
 }
 
-/// Diffs two runs' span trees. Spans match by stable id; `self`/`total`
-/// and the span window compare within the tolerance band of the span's
-/// label path, structure (label, depth, parent) compares exactly.
-/// Elisions match by `(parent id, label)` with `count` exact and `work`
-/// banded.
-#[must_use]
-pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
+/// The span half of `diff_run`: spans match by stable id and compare
+/// structure (label, depth, parent), work (`self`, `total`) and window
+/// exactly; elisions match by `(parent id, label)` and compare `count`
+/// and `work` exactly.
+fn diff_span_tree(a: &RunDoc, b: &RunDoc, report: &mut DiffReport) {
     let paths_a = span_paths(a);
     let paths_b = span_paths(b);
     let index = |doc: &RunDoc| -> BTreeMap<String, usize> {
@@ -1112,30 +1026,25 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
             (Some(&da), Some(&db)) => {
                 let (sa, sb) = (&a.spans[da], &b.spans[db]);
                 let name = paths_a[da].clone();
-                let tol = opts.tolerance(&name);
-                let detail = if sa.label != sb.label
-                    || sa.depth != sb.depth
-                    || sa.parent != sb.parent
-                {
-                    Some(format!(
-                        "structure drifted: {}@{} under {:?} vs {}@{} under {:?}",
-                        sa.label, sa.depth, sa.parent, sb.label, sb.depth, sb.parent
-                    ))
-                } else if !within_u64(sa.self_work, sb.self_work, tol)
-                    || !within_u64(sa.total, sb.total, tol)
-                {
-                    Some(format!(
-                        "work drifted: self {} vs {}, total {} vs {} (tol {tol})",
-                        sa.self_work, sb.self_work, sa.total, sb.total
-                    ))
-                } else if !within_u64(sa.start, sb.start, tol) || !within_u64(sa.end, sb.end, tol) {
-                    Some(format!(
-                        "window drifted: [{}, {}] vs [{}, {}] (tol {tol})",
-                        sa.start, sa.end, sb.start, sb.end
-                    ))
-                } else {
-                    None
-                };
+                let detail =
+                    if sa.label != sb.label || sa.depth != sb.depth || sa.parent != sb.parent {
+                        Some(format!(
+                            "structure drifted: {}@{} under {:?} vs {}@{} under {:?}",
+                            sa.label, sa.depth, sa.parent, sb.label, sb.depth, sb.parent
+                        ))
+                    } else if sa.self_work != sb.self_work || sa.total != sb.total {
+                        Some(format!(
+                            "work drifted: self {} vs {}, total {} vs {}",
+                            sa.self_work, sb.self_work, sa.total, sb.total
+                        ))
+                    } else if sa.start != sb.start || sa.end != sb.end {
+                        Some(format!(
+                            "window drifted: [{}, {}] vs [{}, {}]",
+                            sa.start, sa.end, sb.start, sb.end
+                        ))
+                    } else {
+                        None
+                    };
                 if let Some(detail) = detail {
                     report.findings.push(Finding {
                         kind: "span",
@@ -1176,12 +1085,11 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
         let name = format!("{}::{} (elided)", key.0, key.1);
         match (ea.get(key), eb.get(key)) {
             (Some(&(ca, wa)), Some(&(cb, wb))) => {
-                let tol = opts.tolerance(&key.1);
-                if ca != cb || !within_u64(wa, wb, tol) {
+                if (ca, wa) != (cb, wb) {
                     report.findings.push(Finding {
                         kind: "span_elided",
                         name,
-                        detail: format!("count {ca} work {wa} vs count {cb} work {wb} (tol {tol})"),
+                        detail: format!("count {ca} work {wa} vs count {cb} work {wb}"),
                     });
                 }
             }
@@ -1196,14 +1104,6 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
             }),
         }
     }
-    report
-}
-
-/// [`diff_spans`] across two parsed files, matching run documents by
-/// experiment name exactly like [`diff_docs`].
-#[must_use]
-pub fn diff_spans_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
-    diff_runs(a, b, |da, db| diff_spans(da, db, opts))
 }
 
 #[cfg(test)]
@@ -1276,9 +1176,8 @@ mod tests {
     fn identical_runs_diff_clean() {
         let a = parse_ndjson(&demo_ndjson()).unwrap();
         let b = parse_ndjson(&demo_ndjson()).unwrap();
-        let report = diff_docs(&a, &b, &DiffOptions::default());
+        let report = diff_docs(&a, &b);
         assert!(!report.has_regressions(), "{}", report.render());
-        assert_eq!(report.exit_code(), 0);
         assert!(report.compared > 0);
         assert!(report.render().starts_with("PASS"));
     }
@@ -1293,9 +1192,8 @@ mod tests {
             ("[2,45.75]", "[2,46.75]", "trace"),
         ] {
             let b = parse_ndjson(&demo_ndjson().replacen(needle, replacement, 1)).unwrap();
-            let report = diff_docs(&a, &b, &DiffOptions::default());
+            let report = diff_docs(&a, &b);
             assert!(report.has_regressions(), "{needle} should drift");
-            assert_eq!(report.exit_code(), 1);
             assert!(
                 report.findings.iter().any(|f| f.kind == kind),
                 "expected a {kind} finding for {needle}: {}",
@@ -1305,41 +1203,53 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_bands_absorb_small_drift() {
+    fn the_diff_is_exact_and_matches_nan_with_nan() {
         let a = parse_ndjson(&demo_ndjson()).unwrap();
         let b = parse_ndjson(&demo_ndjson().replacen("[2,45.75]", "[2,45.76]", 1)).unwrap();
-        let exact = diff_docs(&a, &b, &DiffOptions::default());
-        assert!(exact.has_regressions());
-        let banded = DiffOptions {
-            tolerances: vec![("t_chip".to_owned(), 0.01)],
-            ..DiffOptions::default()
-        };
-        let report = diff_docs(&a, &b, &banded);
-        assert!(!report.has_regressions(), "{}", report.render());
+        let report = diff_docs(&a, &b);
+        assert_eq!(report.findings.len(), 1, "{}", report.render());
+        assert_eq!(report.findings[0].name, "t_chip");
+        // an exported `null` sample parses as NaN and matches itself
+        let with_null = demo_ndjson().replacen("[2,45.75]", "[2,null]", 1);
+        let c = parse_ndjson(&with_null).unwrap();
+        let d = parse_ndjson(&with_null).unwrap();
+        assert!(!diff_docs(&c, &d).has_regressions());
+        assert!(diff_docs(&a, &c).has_regressions());
     }
 
     #[test]
-    fn profile_only_ignores_everything_but_profile_counters() {
+    fn one_diff_reports_every_drifted_channel() {
         let a = parse_ndjson(&demo_ndjson()).unwrap();
         let mutated = demo_ndjson()
-            .replacen("\"value\":3", "\"value\":4", 1) // non-profile counter
-            .replacen("[2,45.75]", "[2,99.0]", 1); // trace
+            .replacen("\"value\":3", "\"value\":4", 1)
+            .replacen("\"value\":12", "\"value\":11", 1)
+            .replacen("[2,45.75]", "[2,99.0]", 1)
+            .replacen("\"count\":3,\"work\":2}", "\"count\":3,\"work\":5}", 1);
         let b = parse_ndjson(&mutated).unwrap();
-        let opts = DiffOptions {
-            profile_only: true,
-            ..DiffOptions::default()
-        };
-        assert!(!diff_docs(&a, &b, &opts).has_regressions());
-        let c = parse_ndjson(&demo_ndjson().replacen("\"value\":12", "\"value\":11", 1)).unwrap();
-        let report = diff_docs(&a, &c, &opts);
-        assert!(report.has_regressions());
-        assert_eq!(report.findings[0].kind, "profile");
+        let report = diff_docs(&a, &b);
+        let mut named: Vec<(&str, &str)> = report
+            .findings
+            .iter()
+            .map(|f| (f.kind, f.name.as_str()))
+            .collect();
+        named.sort_unstable();
+        assert_eq!(
+            named,
+            vec![
+                ("counter", "profile.solve.iters"),
+                ("counter", "solver.calls"),
+                ("span_elided", "00000000000000aa::step (elided)"),
+                ("trace", "t_chip"),
+            ],
+            "{}",
+            report.render()
+        );
     }
 
     #[test]
     fn missing_runs_and_channels_are_regressions() {
         let a = parse_ndjson(&demo_ndjson()).unwrap();
-        let report = diff_docs(&a, &[], &DiffOptions::default());
+        let report = diff_docs(&a, &[]);
         assert!(report.has_regressions());
         assert_eq!(report.findings[0].kind, "run");
 
@@ -1349,7 +1259,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         let b = parse_ndjson(&shorter).unwrap();
-        let report = diff_docs(&a, &b, &DiffOptions::default());
+        let report = diff_docs(&a, &b);
         assert!(report
             .findings
             .iter()
@@ -1395,20 +1305,38 @@ mod tests {
     }
 
     #[test]
-    fn span_diff_catches_work_structure_and_elision_drift() {
+    fn span_diff_catches_work_window_structure_and_elision_drift() {
         let a = parse_ndjson(&demo_ndjson()).unwrap();
-        for (needle, replacement) in [
-            ("\"self\":10,\"total\":10}", "\"self\":11,\"total\":11}"),
+        for (needle, replacement, detail) in [
+            (
+                "\"self\":10,\"total\":10}",
+                "\"self\":11,\"total\":11}",
+                "work drifted",
+            ),
+            (
+                "\"start\":3,\"end\":13",
+                "\"start\":4,\"end\":14",
+                "window drifted",
+            ),
             (
                 "\"label\":\"inner\",\"depth\":1",
                 "\"label\":\"inner\",\"depth\":2",
+                "structure drifted",
             ),
-            ("\"count\":3,\"work\":2}", "\"count\":4,\"work\":2}"),
+            (
+                "\"count\":3,\"work\":2}",
+                "\"count\":4,\"work\":2}",
+                "count 3 work 2 vs count 4 work 2",
+            ),
         ] {
             let b = parse_ndjson(&demo_ndjson().replacen(needle, replacement, 1)).unwrap();
-            let report = diff_spans_docs(&a, &b, &DiffOptions::default());
-            assert!(report.has_regressions(), "{needle} should drift");
-            assert_eq!(report.exit_code(), 1);
+            let report = diff_docs(&a, &b);
+            assert_eq!(report.findings.len(), 1, "{}", report.render());
+            assert!(
+                report.findings[0].detail.contains(detail),
+                "{needle}: {}",
+                report.render()
+            );
         }
         // a missing span is a regression on its own
         let shorter = demo_ndjson()
@@ -1417,29 +1345,11 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         let b = parse_ndjson(&shorter).unwrap();
-        let report = diff_spans_docs(&a, &b, &DiffOptions::default());
+        let report = diff_docs(&a, &b);
         assert!(report
             .findings
             .iter()
             .any(|f| f.kind == "span" && f.detail.contains("missing in candidate")));
-    }
-
-    #[test]
-    fn span_diff_tolerance_bands_absorb_small_work_drift() {
-        let a = parse_ndjson(&demo_ndjson()).unwrap();
-        let b = parse_ndjson(&demo_ndjson().replacen(
-            "\"start\":3,\"end\":13,\"self\":10,\"total\":10}",
-            "\"start\":3,\"end\":13,\"self\":11,\"total\":11}",
-            1,
-        ))
-        .unwrap();
-        assert!(diff_spans_docs(&a, &b, &DiffOptions::default()).has_regressions());
-        let banded = DiffOptions {
-            tolerances: vec![("outer/inner".to_owned(), 0.2)],
-            ..DiffOptions::default()
-        };
-        let report = diff_spans_docs(&a, &b, &banded);
-        assert!(!report.has_regressions(), "{}", report.render());
     }
 
     #[test]

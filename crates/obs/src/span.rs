@@ -33,7 +33,7 @@
 //!
 //! A hot loop entering the same label thousands of times under one
 //! parent would make exports unbounded. Per (parent, label) pair, only
-//! the first [`SpanSink::fanout`] spans become tree nodes; later
+//! the first [`FANOUT`] spans become tree nodes; later
 //! same-label siblings are *elided*: their subtree is suppressed and
 //! their count and total work fold into the parent's
 //! [`elided`](SpanNode::elided) summary, so totals stay exact while
@@ -44,8 +44,7 @@
 //! Span ids are assigned at render time as
 //! `fnv1a64(parent_id, label, ordinal)` where `ordinal` counts earlier
 //! same-label siblings. Ids are stable across runs, thread counts and
-//! checkpoint splits — `obs_report attribution diff` matches spans by
-//! id.
+//! checkpoint splits — `obs_report diff` matches spans by id.
 //!
 //! # Examples
 //!
@@ -77,9 +76,9 @@ use crate::Registry;
 /// [`Registry::from_env`] leaves the span sink off.
 pub const SPANS_ENV: &str = "RCS_OBS_SPANS";
 
-/// Default per-(parent, label) fan-out cap before same-label siblings
-/// are elided into a summary entry.
-pub const DEFAULT_FANOUT: usize = 16;
+/// Per-(parent, label) fan-out cap before same-label siblings are
+/// elided into a summary entry.
+pub const FANOUT: usize = 16;
 
 /// One elided-sibling summary: same-label spans beyond the fan-out cap
 /// fold into `(label, count, work)` on their parent.
@@ -160,7 +159,6 @@ impl SpanState {
 #[derive(Debug)]
 pub struct SpanSink {
     enabled: bool,
-    fanout: usize,
     inner: Mutex<SpanState>,
 }
 
@@ -171,26 +169,10 @@ impl Default for SpanSink {
 }
 
 impl SpanSink {
-    /// Creates an empty, enabled sink with the default fan-out cap.
+    /// Creates an empty, enabled sink.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_fanout(DEFAULT_FANOUT)
-    }
-
-    /// [`SpanSink::new`] with an explicit per-(parent, label) fan-out
-    /// cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout` is zero.
-    #[must_use]
-    pub fn with_fanout(fanout: usize) -> Self {
-        assert!(fanout > 0, "span fanout cap must be positive");
-        Self {
-            enabled: true,
-            fanout,
-            inner: Mutex::new(SpanState::default()),
-        }
+        Self::with_enabled(true)
     }
 
     /// A sink that records nothing: every call returns after one
@@ -198,9 +180,12 @@ impl SpanSink {
     /// [`Registry`] built without spans.
     #[must_use]
     pub(crate) const fn off() -> Self {
+        Self::with_enabled(false)
+    }
+
+    const fn with_enabled(enabled: bool) -> Self {
         Self {
-            enabled: false,
-            fanout: DEFAULT_FANOUT,
+            enabled,
             inner: Mutex::new(SpanState {
                 nodes: Vec::new(),
                 roots: Vec::new(),
@@ -216,26 +201,15 @@ impl SpanSink {
         self.enabled
     }
 
-    /// This sink's per-(parent, label) fan-out cap.
-    #[must_use]
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// An empty sink with this sink's fan-out cap — the span half of
-    /// [`Registry::shard`]. It records only when this sink would record
-    /// a span opened right now: a shard taken under a suppressed or
-    /// elided frame is off, exactly as the spans of the same work run
-    /// inline would be invisible.
+    /// An empty sink — the span half of [`Registry::shard`]. It records
+    /// only when this sink would record a span opened right now: a shard
+    /// taken under a suppressed or elided frame is off, exactly as the
+    /// spans of the same work run inline would be invisible.
     #[must_use]
     pub(crate) fn shard(&self) -> SpanSink {
         let recording =
             self.enabled && matches!(self.lock().stack.last(), None | Some(Frame::Node(_)));
-        SpanSink {
-            enabled: recording,
-            fanout: self.fanout,
-            inner: Mutex::new(SpanState::default()),
-        }
+        Self::with_enabled(recording)
     }
 
     /// Pushes a [`Frame::Suppressed`] frame, hiding every span opened
@@ -294,7 +268,7 @@ impl SpanSink {
             state.stack.push(Frame::Suppressed);
             return;
         }
-        if Self::same_label_children(&state, label) >= self.fanout {
+        if Self::same_label_children(&state, label) >= FANOUT {
             state.stack.push(Frame::Elided {
                 label: label.to_owned(),
                 start: now,
@@ -390,7 +364,7 @@ impl SpanSink {
         }
         let roots: Vec<usize> = state.roots.clone();
         for root in roots {
-            Self::splice(&mut live, self.fanout, base, state, root);
+            Self::splice(&mut live, base, state, root);
         }
         for (label, count, work) in &state.root_elided {
             let target = match live.stack.last() {
@@ -413,9 +387,9 @@ impl SpanSink {
     /// Splices shard subtree `root` under the live parent, applying the
     /// fan-out cap against the live parent exactly as a serial `enter`
     /// of the same label would.
-    fn splice(live: &mut SpanState, fanout: usize, base: u64, shard: &SpanState, root: usize) {
+    fn splice(live: &mut SpanState, base: u64, shard: &SpanState, root: usize) {
         let node = &shard.nodes[root];
-        if Self::same_label_children(live, &node.label) >= fanout {
+        if Self::same_label_children(live, &node.label) >= FANOUT {
             // Serial execution would have elided this whole subtree.
             let work = node.total();
             let target = match live.stack.last() {
@@ -758,9 +732,9 @@ mod tests {
     #[test]
     fn fanout_cap_elides_excess_siblings_but_keeps_totals_exact() {
         let obs = Registry::new();
-        let spans = SpanSink::with_fanout(2);
+        let spans = SpanSink::new();
         spans.enter("parent", &obs);
-        for _ in 0..5 {
+        for _ in 0..FANOUT + 3 {
             spans.enter("hot", &obs);
             work(&obs, 10);
             // nested spans under an elided frame are suppressed
@@ -772,10 +746,10 @@ mod tests {
 
         let state = spans.snapshot();
         let flat = flatten(&state);
-        // parent + 2 kept "hot" + their 2 "nested" children
-        assert_eq!(flat.len(), 5);
+        // parent + FANOUT kept "hot" + their FANOUT "nested" children
+        assert_eq!(flat.len(), 1 + 2 * FANOUT);
         let parent = &flat[0];
-        assert_eq!(parent.total, 50);
+        assert_eq!(parent.total, 10 * (FANOUT as u64 + 3));
         assert_eq!(parent.elided, vec![("hot".to_owned(), 3, 30)]);
         // kept + elided work covers everything: self work is zero
         assert_eq!(parent.self_work, 0);
@@ -860,9 +834,9 @@ mod tests {
     #[test]
     fn absorb_applies_the_fanout_cap_against_the_live_parent() {
         let obs = Registry::new();
-        let spans = SpanSink::with_fanout(2);
+        let spans = SpanSink::new();
         spans.enter("batch", &obs);
-        for _ in 0..4 {
+        for _ in 0..FANOUT + 2 {
             let shard_obs = Registry::new();
             let shard = spans.shard();
             shard.enter("item", &shard_obs);
@@ -874,9 +848,13 @@ mod tests {
         }
         spans.exit(&obs);
         let flat = flatten(&spans.snapshot());
-        assert_eq!(flat.len(), 3, "2 kept under the cap: {flat:?}");
+        assert_eq!(
+            flat.len(),
+            1 + FANOUT,
+            "FANOUT kept under the cap: {flat:?}"
+        );
         assert_eq!(flat[0].elided, vec![("item".to_owned(), 2, 10)]);
-        assert_eq!(flat[0].total, 20);
+        assert_eq!(flat[0].total, 5 * (FANOUT as u64 + 2));
     }
 
     #[test]

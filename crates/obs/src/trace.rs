@@ -15,7 +15,7 @@
 //!
 //! # Bounded memory, deterministic decimation
 //!
-//! Every channel keeps at most `capacity` samples. When a push would
+//! Every channel keeps at most [`CAPACITY`] samples. When a push would
 //! overflow, the channel *decimates*: it doubles its keep-stride and
 //! drops every retained sample whose push index is no longer a stride
 //! multiple. Which samples survive is a pure function of the push
@@ -51,8 +51,8 @@ use std::sync::Mutex;
 /// trace off, and [`emit`] writes nothing.
 pub const TRACE_ENV: &str = "RCS_OBS_TRACE";
 
-/// Default per-channel sample capacity.
-pub const DEFAULT_CAPACITY: usize = 512;
+/// Per-channel sample capacity.
+pub const CAPACITY: usize = 512;
 
 /// What a trace channel measures. The kind is part of the channel's
 /// identity: recording a channel under two kinds is a bug and panics.
@@ -147,7 +147,6 @@ struct TraceInner {
 #[derive(Debug)]
 pub struct TraceRecorder {
     enabled: bool,
-    capacity: usize,
     inner: Mutex<TraceInner>,
 }
 
@@ -158,30 +157,11 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Creates an enabled recorder with [`DEFAULT_CAPACITY`] samples per
-    /// channel.
+    /// Creates an enabled recorder keeping at most [`CAPACITY`] samples
+    /// per channel.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Creates an enabled recorder keeping at most `capacity` samples
-    /// per channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < 2` (decimation needs room to halve).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 2, "trace capacity must be at least 2");
-        Self {
-            enabled: true,
-            capacity,
-            inner: Mutex::new(TraceInner {
-                channels: Vec::new(),
-                index: BTreeMap::new(),
-            }),
-        }
+        Self::with_enabled(true)
     }
 
     /// A recorder that records nothing: every call returns after one
@@ -189,9 +169,12 @@ impl TraceRecorder {
     /// [`crate::Registry`] built without a trace.
     #[must_use]
     pub(crate) const fn off() -> Self {
+        Self::with_enabled(false)
+    }
+
+    const fn with_enabled(enabled: bool) -> Self {
         Self {
-            enabled: false,
-            capacity: DEFAULT_CAPACITY,
+            enabled,
             inner: Mutex::new(TraceInner {
                 channels: Vec::new(),
                 index: BTreeMap::new(),
@@ -199,31 +182,18 @@ impl TraceRecorder {
         }
     }
 
-    /// An empty recorder with this recorder's capacity and enablement —
-    /// the trace half of [`crate::Registry::shard`], so a disabled
-    /// parent produces no-op shards.
+    /// An empty recorder with this recorder's enablement — the trace
+    /// half of [`crate::Registry::shard`], so a disabled parent produces
+    /// no-op shards.
     #[must_use]
     pub(crate) fn shard(&self) -> TraceRecorder {
-        Self {
-            enabled: self.enabled,
-            capacity: self.capacity,
-            inner: Mutex::new(TraceInner {
-                channels: Vec::new(),
-                index: BTreeMap::new(),
-            }),
-        }
+        Self::with_enabled(self.enabled)
     }
 
     /// `true` unless this recorder is off.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Per-channel sample capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceInner> {
@@ -267,12 +237,11 @@ impl TraceRecorder {
             return;
         }
         let mut inner = self.lock();
-        let capacity = self.capacity;
         let c = inner
             .channels
             .get_mut(channel.0)
             .expect("trace channel id from another recorder");
-        push(c, capacity, t, value);
+        push(c, t, value);
     }
 
     /// [`TraceRecorder::channel`] + [`TraceRecorder::record`] in one
@@ -343,9 +312,9 @@ impl TraceRecorder {
     /// resumed run's future pushes decimate identically to an
     /// uninterrupted one.
     ///
-    /// Intended for a **fresh recorder of the same capacity** as the one
-    /// captured; a channel name that already exists is overwritten in
-    /// place (its kind must match). A no-op on the disabled sink.
+    /// Intended for a **fresh recorder**; a channel name that already
+    /// exists is overwritten in place (its kind must match). A no-op on
+    /// the disabled sink.
     ///
     /// # Panics
     ///
@@ -383,13 +352,13 @@ impl TraceRecorder {
 
 /// The bounded push: keep the sample if its index is on-stride, and
 /// decimate (double the stride, drop off-stride survivors) when full.
-fn push(c: &mut ChannelState, capacity: usize, t: f64, value: f64) {
+fn push(c: &mut ChannelState, t: f64, value: f64) {
     let index = c.pushed;
     c.pushed += 1;
     if !index.is_multiple_of(c.stride) {
         return;
     }
-    if c.samples.len() >= capacity {
+    if c.samples.len() >= CAPACITY {
         c.stride = c.stride.saturating_mul(2);
         let stride = c.stride;
         c.samples.retain(|s| s.index.is_multiple_of(stride));
@@ -569,16 +538,18 @@ mod tests {
 
     #[test]
     fn decimation_is_bounded_and_deterministic() {
-        let trace = TraceRecorder::with_capacity(8);
+        let trace = TraceRecorder::new();
         let ch = trace.channel("x", ChannelKind::Scalar);
-        for i in 0..1000 {
+        for i in 0..5000 {
             trace.record(ch, f64::from(i), f64::from(i) * 2.0);
         }
         let snap = trace.snapshot();
         let c = snap.channel("x").unwrap();
-        assert!(c.samples.len() <= 8, "kept {}", c.samples.len());
-        assert_eq!(c.pushed, 1000);
-        assert!(c.stride > 1);
+        assert!(c.samples.len() <= CAPACITY, "kept {}", c.samples.len());
+        assert_eq!(c.pushed, 5000);
+        // 5000 pushes overflow 512 slots at strides 1, 2, 4 and 8
+        assert_eq!(c.stride, 16);
+        assert_eq!(c.samples.len(), 313);
         // every survivor is on-stride and in push order
         for w in c.samples.windows(2) {
             assert!(w[0].index < w[1].index);
@@ -588,9 +559,9 @@ mod tests {
             assert_eq!(s.value, s.t * 2.0);
         }
         // an identical second run keeps exactly the same samples
-        let again = TraceRecorder::with_capacity(8);
+        let again = TraceRecorder::new();
         let ch2 = again.channel("x", ChannelKind::Scalar);
-        for i in 0..1000 {
+        for i in 0..5000 {
             again.record(ch2, f64::from(i), f64::from(i) * 2.0);
         }
         assert_eq!(again.snapshot(), snap);
@@ -654,21 +625,22 @@ mod tests {
     #[test]
     fn restore_is_verbatim_where_absorb_replays() {
         // Fill a channel past capacity so it decimates mid-stream.
-        let original = TraceRecorder::with_capacity(8);
+        let original = TraceRecorder::new();
         let ch = original.channel("x", ChannelKind::Scalar);
-        for i in 0..37 {
+        for i in 0..1037 {
             original.record(ch, f64::from(i), f64::from(i) * 3.0);
         }
         let snap = original.snapshot();
+        assert!(snap.channel("x").unwrap().stride > 1);
 
         // Verbatim restore reproduces stride/pushed/samples exactly...
-        let restored = TraceRecorder::with_capacity(8);
+        let restored = TraceRecorder::new();
         restored.restore_channels(&snap);
         assert_eq!(restored.snapshot(), snap);
 
         // ...so continuing both recorders stays bit-identical.
         let ch2 = restored.channel("x", ChannelKind::Scalar);
-        for i in 37..200 {
+        for i in 1037..3000 {
             original.record(ch, f64::from(i), f64::from(i) * 3.0);
             restored.record(ch2, f64::from(i), f64::from(i) * 3.0);
         }
@@ -676,9 +648,9 @@ mod tests {
 
         // An absorb of the same snapshot is a replay, not a restore:
         // push counts differ (only retained samples are re-pushed).
-        let absorbed = TraceRecorder::with_capacity(8);
+        let absorbed = TraceRecorder::new();
         absorbed.absorb_prefixed("", &snap);
-        assert_ne!(absorbed.snapshot().channel("x").unwrap().pushed, 37);
+        assert_ne!(absorbed.snapshot().channel("x").unwrap().pushed, 1037);
     }
 
     #[test]

@@ -466,7 +466,7 @@ mod tests {
         use rcs_obs::span::SpanSink;
         use rcs_obs::trace::{ChannelKind, TraceRecorder};
         let obs = Registry::new()
-            .with_trace(TraceRecorder::with_capacity(16))
+            .with_trace(TraceRecorder::new())
             .with_spans(SpanSink::new());
         obs.enter("batch");
         let got = par_map_observed(
@@ -478,7 +478,8 @@ mod tests {
                 shard.inc("seen");
                 shard.enter("solve");
                 shard.work("units", 10 + x);
-                for step in 0..40u64 {
+                // past the trace capacity, so shards and merge decimate
+                for step in 0..600u64 {
                     #[allow(clippy::cast_precision_loss)]
                     shard.trace().record_named(
                         "series",

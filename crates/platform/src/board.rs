@@ -90,12 +90,6 @@ impl Ccb {
         self.fpga_count + usize::from(self.separate_controller)
     }
 
-    /// `true` if a separate controller FPGA is fitted.
-    #[must_use]
-    pub fn has_separate_controller(&self) -> bool {
-        self.separate_controller
-    }
-
     /// Board width required by the package row: every package plus its
     /// routing clearance.
     #[must_use]

@@ -86,12 +86,6 @@ impl PowerSupply {
     pub fn loss(&self, output: Power) -> Power {
         self.input_power(output) - output
     }
-
-    /// `true` if the output is within rating.
-    #[must_use]
-    pub fn within_rating(&self, output: Power) -> bool {
-        output <= self.rated
-    }
 }
 
 #[cfg(test)]
@@ -115,13 +109,6 @@ mod tests {
         assert!((input.watts() - out.watts() - psu.loss(out).watts()).abs() < 1e-9);
         // ~4.5 % loss at 80 % load
         assert!(psu.loss(out).watts() > 100.0 && psu.loss(out).watts() < 200.0);
-    }
-
-    #[test]
-    fn rating_check() {
-        let psu = PowerSupply::skat_dcdc();
-        assert!(psu.within_rating(Power::kilowatts(3.2)));
-        assert!(!psu.within_rating(Power::kilowatts(4.5)));
     }
 
     #[test]

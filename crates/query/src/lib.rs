@@ -569,12 +569,6 @@ impl DesignVerdict {
     }
 }
 
-/// Damping rungs for retry attempts beyond the first: heavier damping
-/// than the standard robust ladder's last rung (0.1), with matching
-/// iteration headroom. Attempt `n ≥ 1` uses `RETRY_RUNGS[n - 1]`,
-/// clamped to the last rung.
-const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
-
 /// Solves one query against the coupled steady-state model, the
 /// availability Monte-Carlo and the compliance rules. The Monte-Carlo
 /// runs serially here — batch parallelism lives in
@@ -594,13 +588,13 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
 }
 
 /// [`solve_query`] at a given rung of the retry ladder. Attempt 0 is
-/// the standard robust solve; attempts ≥ 1 re-run the coupled fixed
-/// point under `RETRY_RUNGS` damping, trading iterations for
-/// stability. The solvers record counters and traces into `obs` but no
-/// spans: the engine attributes work to whole attempts. Inputs are
-/// validated *before* any solver runs, so a poisoned query (NaN
-/// utilization, zero trials) fails fast as the fatal
-/// [`QueryError::InvalidDesign`] instead of panicking a worker.
+/// the standard robust solve; attempt `n ≥ 1` re-runs the coupled
+/// fixed point on [`ImmersionModel::solve_retry`] rung `n - 1`, trading
+/// iterations for stability. The solvers record counters and traces
+/// into `obs` but no spans: the engine attributes work to whole
+/// attempts. Inputs are validated *before* any solver runs, so a
+/// poisoned query (NaN utilization, zero trials) fails fast as the
+/// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
 ///
 /// # Errors
 ///
@@ -634,9 +628,7 @@ pub fn solve_query_at(
             if attempt == 0 {
                 model.solve_robust_observed(obs)
             } else {
-                let (damping, max_iter) =
-                    RETRY_RUNGS[(attempt as usize - 1).min(RETRY_RUNGS.len() - 1)];
-                model.solve_with_damping(damping, max_iter, obs)
+                model.solve_retry(attempt as usize - 1, obs)
             }
         })
         .map_err(|e| QueryError::from_core(&e))?;

@@ -110,31 +110,6 @@ impl ThermalNetwork {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Changes the imposed temperature of a boundary node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::UnknownNode`] for a foreign id and
-    /// [`ThermalError::HeatOnBoundary`]-style misuse is prevented by only
-    /// accepting boundary nodes (internal nodes return `UnknownNode`).
-    pub fn set_boundary_temperature(
-        &mut self,
-        node: NodeId,
-        temperature: Celsius,
-    ) -> Result<(), ThermalError> {
-        let data = self
-            .nodes
-            .get_mut(node.0)
-            .ok_or(ThermalError::UnknownNode { index: node.0 })?;
-        match &mut data.kind {
-            NodeKind::Boundary { temperature: t } => {
-                *t = temperature;
-                Ok(())
-            }
-            NodeKind::Internal { .. } => Err(ThermalError::UnknownNode { index: node.0 }),
-        }
-    }
-
     /// Connects two nodes with a thermal resistance.
     ///
     /// # Errors
@@ -158,30 +133,6 @@ impl ThermalNetwork {
         }
         self.resistors.push(ResistorData { a, b, resistance });
         Ok(ResistorId(self.resistors.len() - 1))
-    }
-
-    /// Replaces the resistance of an existing resistor (used by coupled
-    /// solvers whose convection coefficients change between iterations).
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown resistor ids and non-positive resistances.
-    pub fn set_resistance(
-        &mut self,
-        resistor: ResistorId,
-        resistance: ThermalResistance,
-    ) -> Result<(), ThermalError> {
-        if resistance.kelvin_per_watt() <= 0.0 {
-            return Err(ThermalError::NonPositiveParameter {
-                parameter: "resistance",
-            });
-        }
-        let r = self
-            .resistors
-            .get_mut(resistor.0)
-            .ok_or(ThermalError::UnknownNode { index: resistor.0 })?;
-        r.resistance = resistance;
-        Ok(())
     }
 
     /// Adds heat generation to an internal node (accumulates).
@@ -546,36 +497,6 @@ mod tests {
         assert!(net
             .connect(a, b, ThermalResistance::from_kelvin_per_watt(-1.0))
             .is_err());
-    }
-
-    #[test]
-    fn set_resistance_updates_solution() {
-        let mut net = ThermalNetwork::new();
-        let j = net.add_node("j");
-        let amb = net.add_boundary("amb", Celsius::new(0.0));
-        let r = net
-            .connect(j, amb, ThermalResistance::from_kelvin_per_watt(1.0))
-            .unwrap();
-        net.add_heat(j, Power::from_watts(10.0)).unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 10.0).abs() < 1e-9);
-        net.set_resistance(r, ThermalResistance::from_kelvin_per_watt(2.0))
-            .unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_boundary_temperature_shifts_solution() {
-        let mut net = ThermalNetwork::new();
-        let j = net.add_node("j");
-        let amb = net.add_boundary("amb", Celsius::new(0.0));
-        net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(1.0))
-            .unwrap();
-        net.add_heat(j, Power::from_watts(10.0)).unwrap();
-        net.set_boundary_temperature(amb, Celsius::new(25.0))
-            .unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 35.0).abs() < 1e-9);
-        // internal node can't be used as a boundary
-        assert!(net.set_boundary_temperature(j, Celsius::new(1.0)).is_err());
     }
 
     #[test]

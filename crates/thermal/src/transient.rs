@@ -510,7 +510,7 @@ impl TransientSession {
                 net.nodes.len()
             )));
         }
-        sinks.restore(obs)?;
+        sinks.restore(obs);
         Ok(Self {
             clock,
             state,

@@ -100,28 +100,10 @@ scalar_quantity!(
 );
 
 impl ThermalResistance {
-    /// Returns the equivalent conductance (UA) value.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; a zero resistance maps to an infinite conductance.
-    #[must_use]
-    pub fn to_conductance(self) -> ThermalCapacityRate {
-        ThermalCapacityRate::new(1.0 / self.kelvin_per_watt())
-    }
-
     /// Series combination of two resistances.
     #[must_use]
     pub fn in_series(self, other: Self) -> Self {
         self + other
-    }
-
-    /// Parallel combination of two resistances.
-    #[must_use]
-    pub fn in_parallel(self, other: Self) -> Self {
-        let a = self.kelvin_per_watt();
-        let b = other.kelvin_per_watt();
-        Self::from_kelvin_per_watt(a * b / (a + b))
     }
 }
 
@@ -240,18 +222,10 @@ mod tests {
     use crate::{Celsius, VolumeFlow};
 
     #[test]
-    fn series_parallel_resistance() {
+    fn series_resistance() {
         let a = ThermalResistance::from_kelvin_per_watt(0.2);
         let b = ThermalResistance::from_kelvin_per_watt(0.3);
         assert!((a.in_series(b).kelvin_per_watt() - 0.5).abs() < 1e-15);
-        assert!((a.in_parallel(b).kelvin_per_watt() - 0.12).abs() < 1e-15);
-    }
-
-    #[test]
-    fn conductance_round_trip() {
-        let r = ThermalResistance::from_kelvin_per_watt(0.25);
-        let back = r.to_conductance().to_resistance();
-        assert!((back.kelvin_per_watt() - 0.25).abs() < 1e-15);
     }
 
     #[test]

@@ -214,11 +214,13 @@ fn attribution_renders_work_and_critical_path_for_every_committed_golden() {
     }
 }
 
+/// `obs_report diff` compares span trees too: a one-unit drift in a
+/// committed golden's attribution is a `span` finding.
 #[test]
 fn attribution_diff_gates_injected_drift_on_a_committed_golden() {
     let base = golden("exp_query_service_spans.ndjson");
     let a = report::parse_ndjson(&base).expect("golden parses");
-    assert!(!report::diff_spans_docs(&a, &a, &report::DiffOptions::default()).has_regressions());
+    assert!(!report::diff_docs(&a, &a).has_regressions());
 
     // Injected drift: the first span's total bumped by one work unit.
     let needle = "\"total\":";
@@ -232,7 +234,8 @@ fn attribution_diff_gates_injected_drift_on_a_committed_golden() {
         1,
     );
     let b = report::parse_ndjson(&drifted).expect("drifted golden parses");
-    let diff = report::diff_spans_docs(&a, &b, &report::DiffOptions::default());
-    assert!(diff.has_regressions());
-    assert_eq!(diff.exit_code(), 1);
+    let diff = report::diff_docs(&a, &b);
+    assert_eq!(diff.findings.len(), 1, "{}", diff.render());
+    assert_eq!(diff.findings[0].kind, "span");
+    assert!(diff.findings[0].detail.starts_with("work drifted"));
 }
