@@ -7,56 +7,10 @@ use std::hint::black_box;
 use rcs_bench::Harness;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{layout, SolveOptions};
-use rcs_numeric::Matrix;
+use rcs_hydraulics::layout;
 use rcs_obs::Registry;
 use rcs_thermal::ThermalNetwork;
 use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
-
-/// Dense elimination at the sizes our networks actually reach.
-fn bench_matrix_solve(h: &mut Harness) {
-    for n in [8usize, 32, 96, 192] {
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = if i == j {
-                    4.0
-                } else {
-                    1.0 / (1.0 + (i + j) as f64)
-                };
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        h.bench(&format!("matrix_solve/{n}"), || {
-            black_box(a.solve(black_box(&b)).unwrap())
-        });
-    }
-}
-
-/// A SKAT-shaped thermal network: N chips into a bath into chilled water.
-fn skat_network(chips: usize) -> ThermalNetwork {
-    let mut net = ThermalNetwork::new();
-    let bath = net.add_node("bath");
-    let water = net.add_boundary("water", Celsius::new(20.0));
-    net.connect(bath, water, ThermalResistance::from_kelvin_per_watt(9.6e-4))
-        .unwrap();
-    for i in 0..chips {
-        let chip = net.add_node(format!("chip{i}"));
-        net.connect(chip, bath, ThermalResistance::from_kelvin_per_watt(0.22))
-            .unwrap();
-        net.add_heat(chip, Power::from_watts(91.0)).unwrap();
-    }
-    net
-}
-
-fn bench_thermal_steady(h: &mut Harness) {
-    for chips in [8usize, 96, 192] {
-        let net = skat_network(chips);
-        h.bench(&format!("thermal_steady/{chips}"), || {
-            black_box(net.solve_steady().unwrap())
-        });
-    }
-}
 
 fn bench_thermal_transient(h: &mut Harness) {
     let mut net = ThermalNetwork::new();
@@ -102,14 +56,13 @@ fn bench_sparse_manifold(h: &mut Harness) {
     let water = Coolant::water().state(Celsius::new(20.0));
     for loops in [6usize, 12, 24] {
         let plan = layout::rack_manifold(loops, layout::ReturnStyle::Reverse);
-        let mut ctx = plan.network.solver_context();
+        let unseeded = plan.network.solver_context();
         h.bench(&format!("hydraulic_manifold_sparse/{loops}"), || {
             // cold every time: isolate the per-solve elimination cost
-            ctx.clear_seed();
-            let opts = SolveOptions::default();
+            let mut ctx = unseeded.clone();
             let solution = plan
                 .network
-                .solve_with(black_box(&water), &opts, &mut ctx, Registry::disabled())
+                .solve_with(black_box(&water), &mut ctx, Registry::disabled())
                 .unwrap();
             black_box(solution)
         });
@@ -132,17 +85,28 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
             },
         );
         let valve = plan.loop_branches[0];
+        // valve trims keep the topology, so one analyzed context fits
+        // every step
+        let unseeded = plan.network.solver_context();
         h.bench(
             &format!("hydraulic_sweep_{tag}/12x{}", openings.len()),
             || {
+                // warm: one context chains every step; cold: an unseeded
+                // copy per step
                 let mut net = plan.network.clone();
-                black_box(
-                    net.solve_sweep(openings.len(), warm, Registry::disabled(), |net, i| {
-                        net.set_valve_opening(valve, openings[i]).unwrap();
-                        water
-                    })
-                    .unwrap(),
-                )
+                let mut ctx = unseeded.clone();
+                let mut steps = Vec::with_capacity(openings.len());
+                for &opening in &openings {
+                    net.set_valve_opening(valve, opening).unwrap();
+                    if !warm {
+                        ctx = unseeded.clone();
+                    }
+                    steps.push(
+                        net.solve_with_ladder(&water, &mut ctx, Registry::disabled())
+                            .unwrap(),
+                    );
+                }
+                black_box(steps)
             },
         );
     }
@@ -150,8 +114,6 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::from_args_for("solvers");
-    bench_matrix_solve(&mut h);
-    bench_thermal_steady(&mut h);
     bench_thermal_transient(&mut h);
     bench_hydraulic_manifold(&mut h);
     bench_sparse_manifold(&mut h);

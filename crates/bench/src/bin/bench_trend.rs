@@ -18,9 +18,9 @@
 //! * **improved** — fresh median below baseline / tolerance: reported
 //!   so a lucky machine does not silently become the new normal.
 //!
-//! The tolerance band is deliberately wide (default 4.0×) because CI
-//! machines vary and `--quick` medians are 3-sample. Override with
-//! `RCS_BENCH_TOLERANCE`. Wall-clock numbers are a *trend* signal; the
+//! The tolerance band is a fixed, deliberately wide 4.0× because CI
+//! machines vary and `--quick` medians are 3-sample. Wall-clock
+//! numbers are a *trend* signal; the
 //! bit-exact `profile.*` work counters in the golden manifests are the
 //! precise regression gate.
 //!
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use rcs_obs::report::{parse_json, Json};
 
 /// Median ratio (fresh / baseline) above which a benchmark fails.
-const DEFAULT_TOLERANCE: f64 = 4.0;
+const TOLERANCE: f64 = 4.0;
 
 const DEFAULT_SUITES: [&str; 4] = ["solvers", "experiments", "parallel", "query"];
 
@@ -72,7 +72,7 @@ fn load_suite(dir: &str, suite: &str) -> Result<Vec<Entry>, String> {
     Ok(entries)
 }
 
-fn check_suite(baseline_dir: &str, fresh_dir: &str, suite: &str, tol: f64) -> Result<u32, String> {
+fn check_suite(baseline_dir: &str, fresh_dir: &str, suite: &str) -> Result<u32, String> {
     let baseline = load_suite(baseline_dir, suite)?;
     let fresh = load_suite(fresh_dir, suite)?;
     let mut failures = 0;
@@ -84,13 +84,13 @@ fn check_suite(baseline_dir: &str, fresh_dir: &str, suite: &str, tol: f64) -> Re
             }
             Some(f) => {
                 let ratio = f.median_ns / base.median_ns.max(1.0);
-                if ratio > tol {
+                if ratio > TOLERANCE {
                     println!(
-                        "FAIL  {suite}/{}: {:.0} ns vs baseline {:.0} ns ({ratio:.2}x > {tol:.2}x)",
+                        "FAIL  {suite}/{}: {:.0} ns vs baseline {:.0} ns ({ratio:.2}x > {TOLERANCE:.2}x)",
                         base.name, f.median_ns, base.median_ns
                     );
                     failures += 1;
-                } else if ratio < 1.0 / tol {
+                } else if ratio < 1.0 / TOLERANCE {
                     println!(
                         "note  {suite}/{}: improved {ratio:.2}x ({:.0} ns vs {:.0} ns) — consider re-pinning",
                         base.name, f.median_ns, base.median_ns
@@ -138,7 +138,6 @@ fn emit_history(
     suite: &str,
     baseline: &[Entry],
     fresh: &[Entry],
-    tol: f64,
     failures: u32,
 ) -> Result<(), String> {
     use std::io::Write as _;
@@ -161,7 +160,7 @@ fn emit_history(
         })
         .collect();
     let line = format!(
-        "{{\"type\":\"bench_history\",\"suite\":\"{}\",\"unix_ts\":{ts},\"tolerance\":{tol},\
+        "{{\"type\":\"bench_history\",\"suite\":\"{}\",\"unix_ts\":{ts},\"tolerance\":{TOLERANCE},\
          \"failures\":{failures},\"benchmarks\":[{}]}}\n",
         escape(suite),
         benches.join(",")
@@ -199,26 +198,15 @@ fn main() -> ExitCode {
     } else {
         DEFAULT_SUITES.to_vec()
     };
-    let tol = match std::env::var("RCS_BENCH_TOLERANCE") {
-        Ok(v) => match v.parse::<f64>() {
-            Ok(t) if t.is_finite() && t > 1.0 => t,
-            _ => {
-                eprintln!("RCS_BENCH_TOLERANCE must be a finite number > 1, got {v:?}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => DEFAULT_TOLERANCE,
-    };
-
     let mut failures = 0u32;
     for suite in suites {
-        match check_suite(baseline_dir, fresh_dir, suite, tol) {
+        match check_suite(baseline_dir, fresh_dir, suite) {
             Ok(n) => {
                 failures += n;
                 if let Some(dir) = &history_dir {
                     let emitted = load_suite(baseline_dir, suite).and_then(|baseline| {
                         let fresh = load_suite(fresh_dir, suite)?;
-                        emit_history(dir, suite, &baseline, &fresh, tol, n)
+                        emit_history(dir, suite, &baseline, &fresh, n)
                     });
                     if let Err(e) = emitted {
                         eprintln!("error: history for {suite}: {e}");
@@ -233,10 +221,10 @@ fn main() -> ExitCode {
         }
     }
     if failures > 0 {
-        eprintln!("bench_trend: {failures} failure(s) at tolerance {tol:.2}x");
+        eprintln!("bench_trend: {failures} failure(s) at tolerance {TOLERANCE:.2}x");
         ExitCode::FAILURE
     } else {
-        println!("bench_trend: all suites within {tol:.2}x of the committed baselines");
+        println!("bench_trend: all suites within {TOLERANCE:.2}x of the committed baselines");
         ExitCode::SUCCESS
     }
 }

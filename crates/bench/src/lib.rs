@@ -46,7 +46,7 @@ const QUICK_SAMPLES: usize = 3;
 /// One recorded benchmark result, as exported to `BENCH_<suite>.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchResult {
-    /// Benchmark name, e.g. `matrix_solve/96`.
+    /// Benchmark name, e.g. `hydraulic_manifold/12`.
     pub name: String,
     /// Median per-iteration wall-clock time in nanoseconds.
     pub median_ns: u128,
@@ -275,14 +275,14 @@ mod tests {
     fn filter_skips_non_matching_names() {
         let mut h = Harness {
             quick: true,
-            filter: Some("matrix".into()),
+            filter: Some("manifold".into()),
             suite: "bench".into(),
             ran: 0,
             results: Vec::new(),
         };
-        h.bench("thermal_steady", || 1u64);
+        h.bench("thermal_transient_1h", || 1u64);
         assert_eq!(h.ran, 0);
-        h.bench("matrix_solve/8", || 1u64);
+        h.bench("hydraulic_manifold/6", || 1u64);
         assert_eq!(h.ran, 1);
         assert_eq!(h.results.len(), 1, "skipped benchmarks are not exported");
     }

@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn displays_chain() {
-        let e = CoreError::from(ThermalError::FloatingNetwork);
+        let e = CoreError::from(ThermalError::SelfLoop { index: 0 });
         assert!(e.to_string().contains("thermal"));
         use std::error::Error;
         assert!(e.source().is_some());

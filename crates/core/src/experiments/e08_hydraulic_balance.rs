@@ -8,7 +8,7 @@
 //! heat-transfer agent flow is evenly changed in the rest of modules."
 
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{balance, layout, SolveOptions};
+use rcs_hydraulics::{balance, layout};
 use rcs_obs::Registry;
 use rcs_units::Celsius;
 
@@ -37,12 +37,7 @@ fn water() -> rcs_fluids::FluidState {
 fn measure(plan: &layout::ManifoldPlan, label: &str, obs: &Registry) -> LayoutRow {
     let net = &plan.network;
     let sol = net
-        .solve_with(
-            &water(),
-            &SolveOptions::default(),
-            &mut net.solver_context(),
-            obs,
-        )
+        .solve_with(&water(), &mut net.solver_context(), obs)
         .expect("manifold converges");
     let flows = plan.loop_flows(&sol);
     LayoutRow {
@@ -87,12 +82,11 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
     // openness, which rebuilds the sparse schedule but keeps the healthy
     // flows as the warm seed for the degraded re-solve.
     let mut ctx = plan.network.solver_context();
-    let opts = SolveOptions::default();
     let before = plan
         .loop_flows(
             &plan
                 .network
-                .solve_with(&water(), &opts, &mut ctx, obs)
+                .solve_with(&water(), &mut ctx, obs)
                 .expect("converges"),
         )
         .iter()
@@ -103,7 +97,7 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
         .loop_flows(
             &plan
                 .network
-                .solve_with(&water(), &opts, &mut ctx, obs)
+                .solve_with(&water(), &mut ctx, obs)
                 .expect("converges"),
         )
         .iter()

@@ -2,9 +2,7 @@
 
 use rcs_cooling::ImmersionBath;
 use rcs_devices::{OperatingPoint, PowerModel};
-use rcs_hydraulics::{
-    BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext, Valve,
-};
+use rcs_hydraulics::{BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolverContext, Valve};
 use rcs_platform::{presets, ComputeModule};
 use rcs_thermal::{
     ChipStack, HeatSink, NodeId, ThermalInterface, ThermalNetwork, TimAging, TimMaterial,
@@ -245,7 +243,7 @@ impl ImmersionModel {
         // networks, but deeply derated pump curves get the damped rungs
         // and, failing those, diagnostics naming the offending branch
         let solution = net
-            .solve_with_ladder(&oil, &SolveOptions::ladder(), ctx, obs)
+            .solve_with_ladder(&oil, ctx, obs)
             .map_err(CoreError::from)?;
         let flow = solution.flow(bath_branch);
         let electrical =

@@ -13,7 +13,6 @@ use rcs_units::VolumeFlow;
 
 use crate::error::HydraulicError;
 use crate::layout::ManifoldPlan;
-use crate::solver::SolveOptions;
 
 /// Ratio of the largest to the smallest loop flow (`>= 1`, 1 is perfectly
 /// balanced); `None` for an empty slice — there is no meaningful spread
@@ -84,9 +83,8 @@ pub fn auto_trim(
     // one solver context: the sparse schedule is analyzed once and each
     // round warm-starts from the previous round's flows.
     let mut ctx = plan.network.solver_context();
-    let opts = SolveOptions::default();
     let obs = Registry::disabled();
-    let initial = plan.network.solve_with(fluid, &opts, &mut ctx, obs)?;
+    let initial = plan.network.solve_with(fluid, &mut ctx, obs)?;
     // a plan with no loops is trivially balanced
     let spread_before = spread(&plan.loop_flows(&initial)).unwrap_or(1.0);
 
@@ -94,7 +92,7 @@ pub fn auto_trim(
     let mut rounds = 0;
     for round in 0..max_rounds {
         rounds = round + 1;
-        let sol = plan.network.solve_with(fluid, &opts, &mut ctx, obs)?;
+        let sol = plan.network.solve_with(fluid, &mut ctx, obs)?;
         let flows = plan.loop_flows(&sol);
         let s = spread(&flows).unwrap_or(1.0);
         best = best.min(s);
@@ -118,7 +116,7 @@ pub fn auto_trim(
                 .set_valve_opening(plan.loop_branches[i], openings[i])?;
         }
     }
-    let sol = plan.network.solve_with(fluid, &opts, &mut ctx, obs)?;
+    let sol = plan.network.solve_with(fluid, &mut ctx, obs)?;
     let spread_after = spread(&plan.loop_flows(&sol)).unwrap_or(1.0);
     Ok(TrimReport {
         spread_before,

@@ -15,8 +15,9 @@
 //!   the unit tests check it bit for bit against a dense reference.
 //!   Repeated solves of the same topology reuse a [`SolverContext`] — a
 //!   cached sparse elimination schedule plus a warm-start seed from the
-//!   neighboring solution ([`HydraulicNetwork::solve_with`],
-//!   [`HydraulicNetwork::solve_sweep`]).
+//!   neighboring solution ([`HydraulicNetwork::solve_with`] for one
+//!   default attempt, [`HydraulicNetwork::solve_with_ladder`] for the
+//!   damped retry ladder).
 //! - [`layout`] — builders for the two manifold topologies the paper
 //!   compares: conventional **direct-return** and the suggested
 //!   **reverse-return (Tichelmann)** arrangement whose equal path lengths
@@ -57,4 +58,4 @@ pub use elements::{Element, Pipe, PumpCurve, Valve};
 pub use error::{ConvergenceDiagnostics, HydraulicError, SolveAttempt};
 pub use network::{BranchId, HydraulicNetwork, JunctionId};
 pub use solution::HydraulicSolution;
-pub use solver::{SolveOptions, SolverContext};
+pub use solver::SolverContext;

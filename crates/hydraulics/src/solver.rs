@@ -56,48 +56,36 @@ const MIN_ITER_COLD: usize = 3;
 /// re-linearization pass must confirm it (≥ 2 iterations).
 const MIN_ITER_WARM: usize = 1;
 
-/// Tuning knobs for one solve attempt.
-///
-/// The defaults reproduce the historical solver behaviour exactly;
-/// [`SolveOptions::damped`] builds the heavier rungs of the retry
-/// ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOptions {
+/// Damping and budget of one solve attempt.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
     /// Under-relaxation factor on flow updates, in `(0, 1]`.
-    pub relax: f64,
+    relax: f64,
     /// Maximum outer Newton iterations.
-    pub max_iter: usize,
+    max_iter: usize,
 }
 
-impl Default for SolveOptions {
-    fn default() -> Self {
-        Self {
-            relax: RELAX,
-            max_iter: MAX_ITER,
-        }
-    }
-}
+/// The one attempt [`HydraulicNetwork::solve_with`] makes.
+const DEFAULT_ATTEMPT: Attempt = Attempt {
+    relax: RELAX,
+    max_iter: MAX_ITER,
+};
 
-impl SolveOptions {
-    /// A damped attempt: heavier under-relaxation with a larger budget.
-    #[must_use]
-    pub fn damped(relax: f64, max_iter: usize) -> Self {
-        Self { relax, max_iter }
-    }
-
-    /// The standard retry ladder for
-    /// [`HydraulicNetwork::solve_with_ladder`]: default first
-    /// (bit-identical to [`HydraulicNetwork::solve`] when it converges),
-    /// then two progressively damped re-solves.
-    #[must_use]
-    pub fn ladder() -> [Self; 3] {
-        [
-            Self::default(),
-            Self::damped(0.45, 500),
-            Self::damped(0.15, 1500),
-        ]
-    }
-}
+/// The retry ladder [`HydraulicNetwork::solve_with_ladder`] climbs: the
+/// default attempt first (bit-identical to [`HydraulicNetwork::solve`]
+/// when it converges), then two progressively damped re-solves with
+/// larger budgets.
+const LADDER: [Attempt; 3] = [
+    DEFAULT_ATTEMPT,
+    Attempt {
+        relax: 0.45,
+        max_iter: 500,
+    },
+    Attempt {
+        relax: 0.15,
+        max_iter: 1500,
+    },
+];
 
 /// Precomputed per-branch assembly plan: the unknown-column of each
 /// endpoint and the sparse value-array indices the branch conductance
@@ -144,7 +132,7 @@ struct BranchScatter {
 ///
 /// ```
 /// use rcs_fluids::Coolant;
-/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions};
+/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve};
 /// use rcs_obs::Registry;
 /// use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 ///
@@ -157,10 +145,10 @@ struct BranchScatter {
 ///     Pressure::kilopascals(60.0), VolumeFlow::liters_per_minute(150.0)))])?;
 /// let water = Coolant::water().state(Celsius::new(20.0));
 ///
-/// let (opts, obs) = (SolveOptions::default(), Registry::disabled());
+/// let obs = Registry::disabled();
 /// let mut ctx = net.solver_context();
-/// let cold = net.solve_with(&water, &opts, &mut ctx, obs)?;
-/// let warm = net.solve_with(&water, &opts, &mut ctx, obs)?; // starts from `cold`'s flows
+/// let cold = net.solve_with(&water, &mut ctx, obs)?;
+/// let warm = net.solve_with(&water, &mut ctx, obs)?; // starts from `cold`'s flows
 /// assert!(warm.iterations() < cold.iterations());
 /// # Ok::<(), rcs_hydraulics::HydraulicError>(())
 /// ```
@@ -281,18 +269,13 @@ impl SolverContext {
             .take()
             .filter(|w| w.len() == net.branches.len() && w.iter().all(|q| q.is_finite()))
     }
-
-    /// Drops the warm-start seed: the next solve starts cold.
-    pub fn clear_seed(&mut self) {
-        self.warm_flows = None;
-    }
 }
 
 /// Iteration-count histogram bounds shared by all solver telemetry
 /// (inclusive upper bounds; the overflow bucket catches anything past
 /// the heaviest ladder budget).
 const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 200, 500, 1500];
-/// Ladder-rung histogram bounds: rung index 0 (default options), 1, 2.
+/// Ladder-rung histogram bounds: rung index 0 (the default attempt), 1, 2.
 const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
 /// Residual-decade histogram bounds (see [`rcs_obs::residual_decade`]).
 const DECADE_BOUNDS: [u64; 4] = [3, 6, 9, 12];
@@ -331,8 +314,7 @@ impl HydraulicNetwork {
     }
 
     /// Solves the steady flow distribution for the given fluid state:
-    /// one attempt with the default options through a fresh context,
-    /// unobserved.
+    /// one default attempt through a fresh context, unobserved.
     ///
     /// # Errors
     ///
@@ -341,19 +323,14 @@ impl HydraulicNetwork {
     /// residual does not fall below tolerance, and propagates
     /// singular-matrix failures from degenerate networks.
     pub fn solve(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with(
-            fluid,
-            &SolveOptions::default(),
-            &mut self.solver_context(),
-            Registry::disabled(),
-        )
+        self.solve_with(fluid, &mut self.solver_context(), Registry::disabled())
     }
 
-    /// One solve attempt with explicit damping/budget options through a
-    /// reusable context: the symbolic factorization is shared and, when
-    /// `ctx` holds a seed from a previous success, the attempt starts
-    /// warm. Telemetry recorded into `obs` — all golden-channel
-    /// integers:
+    /// One default solve attempt (under-relaxation 0.7, at most 200
+    /// Newton iterations) through a reusable context: the symbolic
+    /// factorization is shared and, when `ctx` holds a seed from a
+    /// previous success, the attempt starts warm. Telemetry recorded
+    /// into `obs` — all golden-channel integers:
     ///
     /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
     /// - `hydraulics.solve.iterations` histogram on success;
@@ -368,7 +345,18 @@ impl HydraulicNetwork {
     pub fn solve_with(
         &self,
         fluid: &FluidState,
-        opts: &SolveOptions,
+        ctx: &mut SolverContext,
+        obs: &Registry,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        self.attempt_with(fluid, &DEFAULT_ATTEMPT, ctx, obs)
+    }
+
+    /// [`HydraulicNetwork::solve_with`] under an explicit attempt; the
+    /// unit tests starve it to exercise the failure paths.
+    fn attempt_with(
+        &self,
+        fluid: &FluidState,
+        opts: &Attempt,
         ctx: &mut SolverContext,
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
@@ -427,9 +415,10 @@ impl HydraulicNetwork {
         obs.work("hydraulics.iter_unknowns", iterations * unknowns);
     }
 
-    /// Solves through a retry ladder ([`SolveOptions::ladder`] is the
-    /// standard one: default options first, then two progressively
-    /// damped re-solves); a network that defeats every rung returns
+    /// Solves through the retry ladder: the default attempt first, then
+    /// two progressively damped re-solves (under-relaxation 0.45 with
+    /// 500 iterations, then 0.15 with 1500); a network that defeats
+    /// every rung returns
     /// [`HydraulicError::Unsolvable`] with structured diagnostics
     /// naming the worst junction and branch. When the first rung
     /// converges the result is bit-identical to a single default
@@ -454,22 +443,28 @@ impl HydraulicNetwork {
     ///
     /// # Errors
     ///
-    /// [`HydraulicError::Unsolvable`] after every rung stalls (or for an
-    /// empty ladder); singular-matrix and builder failures propagate
-    /// immediately.
+    /// [`HydraulicError::Unsolvable`] after every rung stalls;
+    /// singular-matrix and builder failures propagate immediately.
     pub fn solve_with_ladder(
         &self,
         fluid: &FluidState,
-        rungs: &[SolveOptions],
+        ctx: &mut SolverContext,
+        obs: &Registry,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        self.climb_ladder(fluid, &LADDER, ctx, obs)
+    }
+
+    /// [`HydraulicNetwork::solve_with_ladder`] over an explicit,
+    /// non-empty rung list; the unit tests starve rungs to exercise
+    /// escalation and exhaustion.
+    fn climb_ladder(
+        &self,
+        fluid: &FluidState,
+        rungs: &[Attempt],
         ctx: &mut SolverContext,
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
         obs.inc("hydraulics.ladder.calls");
-        if rungs.is_empty() {
-            return Err(HydraulicError::NonPositiveParameter {
-                parameter: "retry ladder rung count",
-            });
-        }
         let mut attempts = Vec::new();
         let mut last_failure: Option<SolveFailure> = None;
         for (rung, opts) in rungs.iter().enumerate() {
@@ -529,40 +524,6 @@ impl HydraulicNetwork {
         })
     }
 
-    /// Solves a parameter sweep: `configure` mutates the network for
-    /// step `i` (valve trims, branch failures, a new fluid state) and
-    /// each step is solved through the standard retry ladder with a
-    /// shared context, its ladder telemetry recorded into `obs`. With
-    /// `warm = true` every step starts from the previous step's
-    /// solution — the neighboring solve is the cheapest possible
-    /// starting point — while `warm = false` solves every step cold
-    /// (the cross-check the warm path is validated against).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first step's solver failure.
-    pub fn solve_sweep<F>(
-        &mut self,
-        steps: usize,
-        warm: bool,
-        obs: &Registry,
-        mut configure: F,
-    ) -> Result<Vec<HydraulicSolution>, HydraulicError>
-    where
-        F: FnMut(&mut Self, usize) -> FluidState,
-    {
-        let mut ctx = self.solver_context();
-        let mut out = Vec::with_capacity(steps);
-        for i in 0..steps {
-            let fluid = configure(self, i);
-            if !warm {
-                ctx.clear_seed();
-            }
-            out.push(self.solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, obs)?);
-        }
-        Ok(out)
-    }
-
     /// One Newton attempt. `nodal` assembles and solves the linearized
     /// nodal system for the unknown pressures: the entry points pass
     /// [`HydraulicNetwork::solve_nodal_sparse`], and the unit tests pass
@@ -570,7 +531,7 @@ impl HydraulicNetwork {
     fn solve_inner<N>(
         &self,
         fluid: &FluidState,
-        opts: &SolveOptions,
+        opts: &Attempt,
         ctx: &mut SolverContext,
         nodal: N,
     ) -> Result<SolveOutcome, InnerError>
@@ -767,8 +728,7 @@ mod tests {
     use super::*;
     use crate::elements::{Element, Pipe, PumpCurve, Valve};
     use rcs_fluids::Coolant;
-    use rcs_numeric::Matrix;
-    use rcs_testkit::check_cases;
+    use rcs_testkit::{check_cases, Matrix};
     use rcs_units::{Celsius, Length, Pressure};
 
     fn water() -> FluidState {
@@ -822,9 +782,9 @@ mod tests {
     /// One cold default attempt on the dense reference kernel — the
     /// oracle counterpart of [`HydraulicNetwork::solve`].
     fn solve_dense(net: &HydraulicNetwork) -> HydraulicSolution {
-        let opts = SolveOptions::default();
         let mut ctx = net.solver_context();
-        let Ok(outcome) = net.solve_inner(&water(), &opts, &mut ctx, solve_nodal_dense) else {
+        let Ok(outcome) = net.solve_inner(&water(), &DEFAULT_ATTEMPT, &mut ctx, solve_nodal_dense)
+        else {
             panic!("the dense reference must converge");
         };
         outcome.solution
@@ -835,21 +795,32 @@ mod tests {
         net: &HydraulicNetwork,
         ctx: &mut SolverContext,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        net.solve_with(
-            &water(),
-            &SolveOptions::default(),
-            ctx,
-            Registry::disabled(),
-        )
+        net.solve_with(&water(), ctx, Registry::disabled())
     }
 
-    /// A ladder solve through a fresh context, recorded into `obs`.
+    /// A one-iteration attempt: too short a budget to converge.
+    const STARVED: Attempt = Attempt {
+        relax: 0.7,
+        max_iter: 1,
+    };
+
+    /// A ladder whose every rung is too short to converge.
+    const HOPELESS: [Attempt; 2] = [
+        STARVED,
+        Attempt {
+            relax: 0.3,
+            max_iter: 2,
+        },
+    ];
+
+    /// A ladder solve over `rungs` through a fresh context, recorded
+    /// into `obs`.
     fn ladder(
         net: &HydraulicNetwork,
-        rungs: &[SolveOptions],
+        rungs: &[Attempt],
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        net.solve_with_ladder(&water(), rungs, &mut net.solver_context(), obs)
+        net.climb_ladder(&water(), rungs, &mut net.solver_context(), obs)
     }
 
     fn pipe(len_m: f64) -> Element {
@@ -1018,7 +989,9 @@ mod tests {
         let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
         net.add_branch("pump", r, s, vec![pump()]).unwrap();
         let plain = net.solve(&water()).unwrap();
-        let robust = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
+        let robust = net
+            .solve_with_ladder(&water(), &mut net.solver_context(), Registry::disabled())
+            .unwrap();
         for b in [b1, b2] {
             assert_eq!(
                 plain.flow(b).cubic_meters_per_second(),
@@ -1035,23 +1008,17 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         // One-iteration budget cannot converge...
-        let starved = SolveOptions::damped(0.7, 1);
         assert!(matches!(
-            net.solve_with(
+            net.attempt_with(
                 &water(),
-                &starved,
+                &STARVED,
                 &mut net.solver_context(),
                 Registry::disabled()
             ),
             Err(HydraulicError::NoConvergence { iterations: 1, .. })
         ));
         // ...but a ladder whose later rung has a real budget succeeds.
-        let sol = ladder(
-            &net,
-            &[starved, SolveOptions::default()],
-            Registry::disabled(),
-        )
-        .unwrap();
+        let sol = ladder(&net, &[STARVED, DEFAULT_ATTEMPT], Registry::disabled()).unwrap();
         assert!(sol.flows()[0].as_liters_per_minute() > 50.0);
     }
 
@@ -1062,8 +1029,7 @@ mod tests {
         let b = net.add_junction("bath inlet");
         net.add_branch("loop pipe", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("bath pump", b, a, vec![pump()]).unwrap();
-        let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let err = ladder(&net, &rungs, Registry::disabled()).unwrap_err();
+        let err = ladder(&net, &HOPELESS, Registry::disabled()).unwrap_err();
         let HydraulicError::Unsolvable { diagnostics } = err else {
             panic!("expected Unsolvable, got {err:?}");
         };
@@ -1077,19 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_ladder_is_rejected() {
-        let mut net = HydraulicNetwork::new();
-        let a = net.add_junction("a");
-        let b = net.add_junction("b");
-        net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
-        net.add_branch("pump", b, a, vec![pump()]).unwrap();
-        assert!(matches!(
-            ladder(&net, &[], Registry::disabled()),
-            Err(HydraulicError::NonPositiveParameter { .. })
-        ));
-    }
-
-    #[test]
     fn healthy_ladder_solve_records_rung_zero_and_no_escalations() {
         let mut net = HydraulicNetwork::new();
         let a = net.add_junction("a");
@@ -1097,7 +1050,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let sol = ladder(&net, &SolveOptions::ladder(), &obs).unwrap();
+        let sol = ladder(&net, &LADDER, &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.calls"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 1);
@@ -1119,7 +1072,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
+        let rungs = [STARVED, DEFAULT_ATTEMPT];
         ladder(&net, &rungs, &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.escalations"), 1);
@@ -1135,8 +1088,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let _ = ladder(&net, &rungs, &obs).unwrap_err();
+        let _ = ladder(&net, &HOPELESS, &obs).unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 0);
         assert_eq!(snap.counter("hydraulics.ladder.unsolvable"), 1);
@@ -1153,10 +1105,9 @@ mod tests {
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
         let mut ctx = net.solver_context();
-        net.solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
-            .unwrap();
+        net.solve_with(&water(), &mut ctx, &obs).unwrap();
         let _ = net
-            .solve_with(&water(), &SolveOptions::damped(0.7, 1), &mut ctx, &obs)
+            .attempt_with(&water(), &STARVED, &mut ctx, &obs)
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.solve.calls"), 2);
@@ -1246,9 +1197,7 @@ mod tests {
         let mut ctx = net.solver_context();
         let cold = solve_in(&net, &mut ctx).unwrap();
         let obs = Registry::new();
-        let warm = net
-            .solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
-            .unwrap();
+        let warm = net.solve_with(&water(), &mut ctx, &obs).unwrap();
         assert_eq!(
             obs.snapshot().counter("profile.hydraulics.warm_starts"),
             1,
@@ -1299,15 +1248,12 @@ mod tests {
         let mut ctx = net.solver_context();
         solve_in(&net, &mut ctx).unwrap();
         // a starved warm attempt fails and must not leave a stale seed
-        let starved = SolveOptions::damped(0.7, 1);
         let _ = net
-            .solve_with(&water(), &starved, &mut ctx, Registry::disabled())
+            .attempt_with(&water(), &STARVED, &mut ctx, Registry::disabled())
             .unwrap_err();
         // the next solve is cold and matches the stateless path bitwise
         let obs = Registry::new();
-        let recovered = net
-            .solve_with(&water(), &SolveOptions::default(), &mut ctx, &obs)
-            .unwrap();
+        let recovered = net.solve_with(&water(), &mut ctx, &obs).unwrap();
         assert_eq!(
             obs.snapshot().counter("profile.hydraulics.warm_starts"),
             0,
@@ -1322,10 +1268,8 @@ mod tests {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
         let obs = Registry::new();
-        net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs)
-            .unwrap();
-        net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs)
-            .unwrap();
+        net.solve_with_ladder(&water(), &mut ctx, &obs).unwrap();
+        net.solve_with_ladder(&water(), &mut ctx, &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 2);
         assert_eq!(
@@ -1339,14 +1283,23 @@ mod tests {
     fn sweep_warm_and_cold_agree_within_solver_tolerance() {
         let (net, ids) = branched_net();
         let openings = [1.0, 0.8, 0.6, 0.4, 0.3, 0.5, 0.9];
+        // warm: one context chains every step; cold: a fresh,
+        // unseeded context per step
         let sweep = |warm: bool| {
             let mut n = net.clone();
-            let valve = ids[1];
-            n.solve_sweep(openings.len(), warm, Registry::disabled(), |net, i| {
-                net.set_valve_opening(valve, openings[i]).unwrap();
-                water()
-            })
-            .unwrap()
+            let mut ctx = n.solver_context();
+            let mut out = Vec::new();
+            for &opening in &openings {
+                n.set_valve_opening(ids[1], opening).unwrap();
+                if !warm {
+                    ctx = n.solver_context();
+                }
+                out.push(
+                    n.solve_with_ladder(&water(), &mut ctx, Registry::disabled())
+                        .unwrap(),
+                );
+            }
+            out
         };
         let cold = sweep(false);
         let warm = sweep(true);
@@ -1521,17 +1474,15 @@ mod tests {
 
     #[test]
     fn empty_network_is_a_typed_error_on_every_entry_point() {
-        let mut net = HydraulicNetwork::new();
+        let net = HydraulicNetwork::new();
         let empty = Some(HydraulicError::EmptyNetwork);
         assert_eq!(net.solve(&water()).err(), empty);
         let obs = Registry::new();
         let mut ctx = net.solver_context();
-        let laddered = net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, &obs);
+        let laddered = net.solve_with_ladder(&water(), &mut ctx, &obs);
         assert_eq!(laddered.err(), empty);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.error"), 1);
         assert_eq!(snap.counter("profile.hydraulics.iterations"), 0);
-        let swept = net.solve_sweep(2, true, Registry::disabled(), |_, _| water());
-        assert_eq!(swept.err(), empty);
     }
 }

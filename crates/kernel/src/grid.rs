@@ -7,8 +7,8 @@
 //! replaced.
 //!
 //! * [`TimeGrid::Uniform`] — the RK4 transient grid: `dt` fixed,
-//!   current time *accumulated* (`t += dt`), matching
-//!   `rcs_numeric::ode::rk4`.
+//!   current time *accumulated* (`t += dt`), the recurrence every
+//!   committed transient golden was produced with.
 //! * [`TimeGrid::FixedClamped`] — the fault-drill scan grid: time
 //!   *multiplied* (`t = i * dt`), final step clamped to the horizon,
 //!   matching `FaultDrill::simulate`.
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn uniform_accumulates_time_exactly_like_the_rk4_driver() {
-        // Mirror rcs_numeric::ode::rk4's `t += dt` recurrence.
+        // The transient goldens' `t += dt` recurrence.
         let span = 1.0f64;
         let steps = 7u64;
         #[allow(clippy::cast_precision_loss)]

@@ -1,4 +1,5 @@
-//! Fixed-step ODE integration.
+//! Fixed-step ODE integration: one classic Runge-Kutta step, driven by
+//! the stepping kernel.
 
 /// Scratch buffers for [`rk4_step`]: the four stage slopes plus one
 /// stage-state buffer, all of the state dimension. Reused across steps
@@ -27,10 +28,25 @@ impl Rk4Scratch {
 }
 
 /// One classic fourth-order Runge-Kutta step of `dy/dt = f(t, y)` from
-/// `t` to `t + dt`, mutating `y` in place. This is the single-step core
-/// [`rk4`] loops over; the stepping kernel (`rcs-kernel` sessions)
-/// drives it directly so a resumed transient performs the exact same
-/// arithmetic, in the exact same order, as an uninterrupted one.
+/// `t` to `t + dt`, mutating `y` in place. The stepping kernel
+/// (`rcs-kernel` sessions) drives it one clock tick at a time, so a
+/// resumed transient performs the exact same arithmetic, in the exact
+/// same order, as an uninterrupted one.
+///
+/// # Examples
+///
+/// Exponential decay keeps its analytic solution:
+///
+/// ```
+/// use rcs_numeric::ode::{rk4_step, Rk4Scratch};
+///
+/// let (mut y, mut scratch) = (vec![1.0], Rk4Scratch::new(1));
+/// let mut decay = |_t: f64, y: &[f64], dy: &mut [f64]| dy[0] = -y[0];
+/// for i in 0..1000 {
+///     rk4_step(&mut y, f64::from(i) * 1e-3, 1e-3, &mut decay, &mut scratch);
+/// }
+/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
+/// ```
 pub fn rk4_step<F>(y: &mut [f64], t: f64, dt: f64, f: &mut F, scratch: &mut Rk4Scratch)
 where
     F: FnMut(f64, &[f64], &mut [f64]),
@@ -61,55 +77,6 @@ where
     }
 }
 
-/// Integrates `dy/dt = f(t, y)` from `t0` to `t1` with classic fourth-order
-/// Runge-Kutta, mutating `y` in place and invoking `observe(t, y)` after
-/// every step (including once for the initial state).
-///
-/// The step count is chosen so the step size never exceeds `max_dt`; the
-/// final step lands exactly on `t1`.
-///
-/// # Panics
-///
-/// Panics if `t1 < t0` or `max_dt <= 0`.
-///
-/// # Examples
-///
-/// Exponential decay keeps its analytic solution:
-///
-/// ```
-/// let mut y = vec![1.0];
-/// rcs_numeric::ode::rk4(
-///     &mut y, 0.0, 1.0, 1e-3,
-///     |_t, y, dy| dy[0] = -y[0],
-///     |_t, _y| {},
-/// );
-/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
-/// ```
-pub fn rk4<F, O>(y: &mut [f64], t0: f64, t1: f64, max_dt: f64, mut f: F, mut observe: O)
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-    O: FnMut(f64, &[f64]),
-{
-    assert!(t1 >= t0, "rk4: t1 must be >= t0");
-    assert!(max_dt > 0.0, "rk4: max_dt must be positive");
-    let span = t1 - t0;
-    if span == 0.0 {
-        observe(t0, y);
-        return;
-    }
-    let steps = (span / max_dt).ceil().max(1.0) as usize;
-    let dt = span / steps as f64;
-    let mut scratch = Rk4Scratch::new(y.len());
-
-    observe(t0, y);
-    let mut t = t0;
-    for _ in 0..steps {
-        rk4_step(y, t, dt, &mut f, &mut scratch);
-        t += dt;
-        observe(t, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,59 +86,20 @@ mod tests {
         // y'' = -y as a 2-state system; RK4 should hold |E - E0| tiny over
         // a few periods at modest step size.
         let mut y = vec![1.0, 0.0];
-        rk4(
-            &mut y,
-            0.0,
-            4.0 * std::f64::consts::PI,
-            1e-3,
-            |_t, y, dy| {
-                dy[0] = y[1];
-                dy[1] = -y[0];
-            },
-            |_t, _y| {},
-        );
+        let mut scratch = Rk4Scratch::new(2);
+        let mut oscillator = |_t: f64, y: &[f64], dy: &mut [f64]| {
+            dy[0] = y[1];
+            dy[1] = -y[0];
+        };
+        let steps = 12_567; // ceil(4π / 1e-3)
+        let dt = 4.0 * std::f64::consts::PI / f64::from(steps);
+        for i in 0..steps {
+            rk4_step(&mut y, f64::from(i) * dt, dt, &mut oscillator, &mut scratch);
+        }
         let energy = 0.5 * (y[0] * y[0] + y[1] * y[1]);
         assert!((energy - 0.5).abs() < 1e-9, "E = {energy}");
         // two full periods: back to the start
         assert!((y[0] - 1.0).abs() < 1e-7);
         assert!(y[1].abs() < 1e-7);
-    }
-
-    #[test]
-    fn observer_sees_every_step() {
-        let mut y = vec![0.0];
-        let mut count = 0;
-        rk4(
-            &mut y,
-            0.0,
-            1.0,
-            0.25,
-            |_t, _y, dy| dy[0] = 1.0,
-            |_t, _y| count += 1,
-        );
-        assert_eq!(count, 5); // initial + 4 steps
-        assert!((y[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_span_only_observes_initial_state() {
-        let mut y = vec![7.0];
-        let mut seen = Vec::new();
-        rk4(
-            &mut y,
-            2.0,
-            2.0,
-            0.1,
-            |_t, _y, dy| dy[0] = 100.0,
-            |t, y| seen.push((t, y[0])),
-        );
-        assert_eq!(seen, vec![(2.0, 7.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "t1 must be >= t0")]
-    fn backwards_time_panics() {
-        let mut y = vec![0.0];
-        rk4(&mut y, 1.0, 0.0, 0.1, |_t, _y, _dy| {}, |_t, _y| {});
     }
 }

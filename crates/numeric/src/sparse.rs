@@ -16,18 +16,19 @@
 //!    schedule over a flat value array — no index search, no pattern
 //!    queries, no allocation.
 //!
-//! The numeric phase mirrors the dense [`Matrix::solve`] inner loops
-//! exactly (same operation order, same `factor == 0.0` skip, same
-//! singularity threshold) but touches only structural nonzeros. On the
-//! diagonally dominant systems the solvers assemble, dense partial
-//! pivoting never swaps rows (the strict `>` comparison keeps the
-//! diagonal on ties), so the no-pivot sparse elimination performs the
-//! *same arithmetic in the same order* and agrees with the dense path
-//! to the last bit in all but exotic signed-zero cases.
-//!
-//! [`Matrix::solve`]: crate::Matrix::solve
+//! The numeric phase mirrors the inner loops of dense Gaussian
+//! elimination with partial pivoting exactly (same operation order,
+//! same `factor == 0.0` skip, same singularity threshold) but touches
+//! only structural nonzeros. On the diagonally dominant systems the
+//! solvers assemble, dense partial pivoting never swaps rows (the
+//! strict `>` comparison keeps the diagonal on ties), so the no-pivot
+//! sparse elimination performs the *same arithmetic in the same order*
+//! and agrees with the dense path to the last bit in all but exotic
+//! signed-zero cases. The dense reference lives in the test kit
+//! (`rcs_testkit::Matrix`); `tests/sparse_vs_dense.rs` holds the
+//! bitwise cross-check.
 
-use crate::matrix::NumericError;
+use crate::error::NumericError;
 
 /// Pivot magnitude below which the factorization reports
 /// [`NumericError::SingularMatrix`] — identical to the dense threshold.
@@ -204,12 +205,6 @@ impl SparseSymbolic {
         }
     }
 
-    /// Matrix dimension.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Number of stored entries (structural nonzeros including fill-in)
     /// — the length of the value array expected by
     /// [`SparseSymbolic::factor_solve`].
@@ -248,8 +243,8 @@ impl SparseSymbolic {
     /// factors afterwards); reassemble before the next call. The
     /// operation sequence replays dense no-pivot elimination in natural
     /// order, including the `factor == 0.0` skip, so on diagonally
-    /// dominant systems the result is bit-identical to
-    /// [`crate::Matrix::solve`].
+    /// dominant systems the result is bit-identical to dense
+    /// partial-pivoting elimination.
     ///
     /// # Errors
     ///
@@ -307,90 +302,6 @@ impl SparseSymbolic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
-
-    /// Assembles the same system densely and sparsely and checks both
-    /// solvers agree bitwise (the schedule replays the dense loops).
-    fn cross_check(n: usize, edges: &[(usize, usize)], fill: impl Fn(usize, usize) -> f64) {
-        let sym = SparseSymbolic::analyze(n, edges);
-        let mut dense = Matrix::zeros(n, n);
-        let mut values = vec![0.0; sym.nnz()];
-        for r in 0..n {
-            for c in 0..n {
-                let v = fill(r, c);
-                if v != 0.0 {
-                    dense[(r, c)] = v;
-                    values[sym
-                        .index_of(r, c)
-                        .expect("assembled entry must be structural")] = v;
-                }
-            }
-        }
-        let rhs_src: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 0.25).collect();
-        let want = dense.solve(&rhs_src).unwrap();
-        let mut rhs = rhs_src.clone();
-        sym.factor_solve(&mut values, &mut rhs).unwrap();
-        for (i, (got, want)) in rhs.iter().zip(&want).enumerate() {
-            assert_eq!(got, want, "component {i}: sparse {got} vs dense {want}");
-        }
-    }
-
-    #[test]
-    fn path_graph_laplacian_matches_dense_bitwise() {
-        let edges: Vec<(usize, usize)> = (0..7).map(|i| (i, i + 1)).collect();
-        cross_check(8, &edges, |r, c| {
-            if r == c {
-                2.5 + r as f64 * 0.125
-            } else if r.abs_diff(c) == 1 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
-    }
-
-    #[test]
-    fn star_graph_produces_fill_and_matches_dense() {
-        // Hub node 0 connected to every leaf: eliminating the hub first
-        // links all leaves pairwise — maximal fill-in, worst case for
-        // the natural ordering. Correctness must not depend on fill.
-        let n = 6;
-        let edges: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
-        let sym = SparseSymbolic::analyze(n, &edges);
-        // hub elimination fills the leaf block densely
-        assert_eq!(sym.nnz(), n * n);
-        cross_check(n, &edges, |r, c| {
-            if r == c {
-                (n as f64) + 0.5
-            } else if r == 0 || c == 0 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
-    }
-
-    #[test]
-    fn manifold_pattern_matches_dense() {
-        // Supply/return manifold with parallel loops — the hydraulic
-        // solver's actual shape: two hub nodes, many two-degree loops.
-        let loops = 9;
-        let n = 2 + loops;
-        let mut edges = vec![(0, 1)];
-        for i in 0..loops {
-            edges.push((0, 2 + i));
-            edges.push((2 + i, 1));
-        }
-        cross_check(n, &edges, |r, c| {
-            if r == c {
-                12.0 + r as f64
-            } else if edges.contains(&(r, c)) || edges.contains(&(c, r)) {
-                -1.5 - (r + c) as f64 * 0.0625
-            } else {
-                0.0
-            }
-        });
-    }
 
     #[test]
     fn disconnected_pinned_rows_solve_like_identity() {
@@ -467,8 +378,9 @@ mod tests {
         // elimination produces O(1) fill per node, so the schedule is
         // O(n) update pairs where dense elimination pays ~n³/3.
         // (A hub-first star is the worst case: eliminating the hub fills
-        // the remainder densely — see the star test above — but even
-        // then the schedule matches dense work, never exceeds it.)
+        // the remainder densely — see the star test in
+        // `tests/sparse_vs_dense.rs` — but even then the schedule
+        // matches dense work, never exceeds it.)
         let segments = 40;
         let n = 2 * segments;
         // Interleaved numbering (supply_i = 2i, return_i = 2i+1) keeps

@@ -7,28 +7,39 @@
 //! span sinks of an enabled registry built without them, which is what
 //! every registry is unless a binary's export variables turn them on.
 //!
-//! Everything lives in one `#[test]` so no sibling test can allocate
-//! concurrently and poison the counter delta.
+//! The allocator counts per thread, so only the recording thread's own
+//! allocations are measured: libtest's own threads allocate whenever
+//! they like and must not poison the delta.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rcs_obs::trace::ChannelKind;
 use rcs_obs::Registry;
 
-/// Forwards to the system allocator, counting every `alloc`/`realloc`.
+/// Forwards to the system allocator, counting every `alloc`/`realloc`
+/// on the calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. `const`-initialized and free of
+    /// destructors, so touching it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: never panics, even while the thread is being torn down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -40,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// The counter, work, histogram and note calls every instrumented

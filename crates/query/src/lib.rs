@@ -575,8 +575,8 @@ impl DesignVerdict {
 /// [`QueryEngine::run_batch`], and nesting pools would not change the
 /// (thread-invariant) result anyway.
 ///
-/// Equivalent to attempt 0 of [`solve_query_at`] — the standard robust
-/// solver ladder, no retry damping.
+/// Equivalent to attempt 0 of the retry ladder [`solve_query_resilient`]
+/// climbs — the standard robust solver ladder, no retry damping.
 ///
 /// # Errors
 ///
@@ -600,7 +600,7 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
 ///
 /// [`QueryError::InvalidDesign`] for malformed points,
 /// [`QueryError::NoConvergence`] when the chosen rung fails to land.
-pub fn solve_query_at(
+fn solve_query_at(
     query: &DesignQuery,
     attempt: u32,
     obs: &Registry,
@@ -724,7 +724,9 @@ impl FaultInjector for NoFaults {
 }
 
 /// Answers one query under a [`ResiliencePolicy`]: a bounded retry
-/// ladder over [`solve_query_at`], each attempt wrapped in
+/// ladder of solve attempts — attempt 0 is [`solve_query`], attempt
+/// `n ≥ 1` re-runs the coupled fixed point on
+/// [`ImmersionModel::solve_retry`] rung `n - 1` — each attempt wrapped in
 /// [`rcs_parallel::isolate`] so a panicking solve becomes the retryable
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///
@@ -741,7 +743,7 @@ impl FaultInjector for NoFaults {
 /// `resilience.injected.*` for injected faults — each mirrored into
 /// `profile.*` work. On the span sink of `obs`, every attempt runs
 /// inside an `attempt` span (the solvers' own spans are suppressed
-/// under it, see [`solve_query_at`]), and a tripped work budget leaves
+/// under it), and a tripped work budget leaves
 /// a zero-width `budget` marker span inside the attempt that tripped it
 /// — so span rollups show which attempt of which request burned the
 /// work, and where budgets cut runs short.

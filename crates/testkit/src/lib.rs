@@ -20,6 +20,9 @@
 //! * [`check_cases`] with 24–32 — properties that run a coupled solver
 //!   or a Monte-Carlo study per case.
 //!
+//! It also carries the dense reference solver, [`Matrix`]: the oracle
+//! the shipped sparse elimination is cross-checked against.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,6 +37,9 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+mod matrix;
+
+pub use matrix::Matrix;
 pub use rcs_numeric::rng::{Rng, SampleRange};
 
 /// Cases run by [`check`].

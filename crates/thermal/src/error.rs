@@ -1,7 +1,5 @@
 //! Error type for the thermal solvers.
 
-use rcs_numeric::NumericError;
-
 /// Error returned by thermal network construction and solving.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ThermalError {
@@ -20,23 +18,12 @@ pub enum ThermalError {
         /// Name of the parameter.
         parameter: &'static str,
     },
-    /// The network has no boundary (fixed-temperature) node reachable from
-    /// some heated node, so no steady state exists.
-    FloatingNetwork,
-    /// Transient integration requires every internal node to carry a heat
-    /// capacitance.
-    MissingCapacitance {
-        /// Name of the node without a capacitance.
-        node: String,
-    },
     /// Heat was attached to a boundary node, which is contradictory (its
     /// temperature is imposed).
     HeatOnBoundary {
         /// Name of the boundary node.
         node: String,
     },
-    /// An underlying numeric kernel failed.
-    Numeric(NumericError),
 }
 
 impl core::fmt::Display for ThermalError {
@@ -47,37 +34,14 @@ impl core::fmt::Display for ThermalError {
             Self::NonPositiveParameter { parameter } => {
                 write!(f, "non-positive {parameter}")
             }
-            Self::FloatingNetwork => {
-                write!(
-                    f,
-                    "network has no boundary temperature; steady state is undefined"
-                )
-            }
-            Self::MissingCapacitance { node } => {
-                write!(f, "transient solve requires a capacitance on node '{node}'")
-            }
             Self::HeatOnBoundary { node } => {
                 write!(f, "heat source attached to boundary node '{node}'")
             }
-            Self::Numeric(e) => write!(f, "numeric failure: {e}"),
         }
     }
 }
 
-impl std::error::Error for ThermalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Numeric(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<NumericError> for ThermalError {
-    fn from(e: NumericError) -> Self {
-        Self::Numeric(e)
-    }
-}
+impl std::error::Error for ThermalError {}
 
 #[cfg(test)]
 mod tests {
@@ -85,17 +49,11 @@ mod tests {
 
     #[test]
     fn displays_are_concise() {
-        let e = ThermalError::FloatingNetwork;
-        assert!(e.to_string().contains("boundary"));
-        let e = ThermalError::from(NumericError::SingularMatrix { pivot: 3 });
-        assert!(e.to_string().contains("pivot column 3"));
-    }
-
-    #[test]
-    fn source_chains_numeric_errors() {
-        use std::error::Error;
-        let e = ThermalError::from(NumericError::SingularMatrix { pivot: 0 });
-        assert!(e.source().is_some());
-        assert!(ThermalError::FloatingNetwork.source().is_none());
+        let e = ThermalError::NonPositiveParameter {
+            parameter: "capacitance",
+        };
+        assert_eq!(e.to_string(), "non-positive capacitance");
+        let e = ThermalError::HeatOnBoundary { node: "oil".into() };
+        assert!(e.to_string().contains("'oil'"));
     }
 }

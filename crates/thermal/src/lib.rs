@@ -4,10 +4,9 @@
 //! measured against:
 //!
 //! - [`ThermalNetwork`] — lumped thermal resistance networks with named
-//!   nodes, boundary temperatures and heat sources, solved to steady state
-//!   by dense elimination ([`ThermalNetwork::solve_steady`]) or integrated
-//!   in time with per-node capacitances
-//!   ([`ThermalNetwork::solve_transient`]).
+//!   capacitive nodes, boundary temperatures and heat sources, integrated
+//!   in time ([`ThermalNetwork::solve_transient`], or step by step on the
+//!   stepping kernel through a [`TransientSession`]).
 //! - [`HeatSink`] — bare-lid, plate-fin and the paper's solder **pin-fin
 //!   turbulator** sink geometries, turning coolant state + velocity into a
 //!   sink thermal resistance via the `rcs-fluids` correlations.
@@ -59,7 +58,7 @@ mod transient;
 pub use chiller::Chiller;
 pub use error::ThermalError;
 pub use exchanger::{lmtd, FlowArrangement, HxOutcome, PlateHeatExchanger};
-pub use network::{NodeId, ResistorId, SteadySolution, ThermalNetwork};
+pub use network::{NodeId, ThermalNetwork};
 pub use sink::{BarePlate, HeatSink, PinFinSink, PlateFinSink, SinkMaterial};
 pub use stack::ChipStack;
 pub use tim::{ThermalInterface, TimAging, TimMaterial};

@@ -115,16 +115,15 @@ impl TransientTrace {
 impl ThermalNetwork {
     /// Integrates the network in time from a uniform initial temperature.
     ///
-    /// Every internal node must carry a heat capacitance
+    /// Internal nodes integrate against their heat capacitances
     /// (see [`ThermalNetwork::add_node_with_capacitance`]); boundary nodes
     /// hold their imposed temperatures. Heat sources are constant over the
     /// window; chain multiple calls for step changes.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::MissingCapacitance`] if any internal node has
-    /// no capacitance, and [`ThermalError::NonPositiveParameter`] for a
-    /// non-positive duration or step.
+    /// Returns [`ThermalError::NonPositiveParameter`] for a non-positive
+    /// node capacitance, duration or step.
     pub fn solve_transient(
         &self,
         initial: Celsius,
@@ -180,45 +179,38 @@ struct TransientEnv {
     internal: Vec<usize>,
     /// Heat capacitance per internal row, J/K.
     capacitance: Vec<f64>,
-    /// node index → internal row.
-    index_of: std::collections::HashMap<usize, usize>,
+    /// node index → internal row (`None` for boundary nodes).
+    row_of: Vec<Option<usize>>,
     scratch: Rk4Scratch,
 }
 
 impl TransientEnv {
     fn build(net: &ThermalNetwork) -> Result<Self, ThermalError> {
-        let internal: Vec<usize> = net
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.kind, NodeKind::Internal { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let mut capacitance = vec![0.0; internal.len()];
-        for (row, &node) in internal.iter().enumerate() {
-            match net.nodes[node].kind {
-                NodeKind::Internal {
-                    capacitance_j_per_k: Some(c),
-                } if c > 0.0 => {
-                    capacitance[row] = c;
-                }
-                _ => {
-                    return Err(ThermalError::MissingCapacitance {
-                        node: net.nodes[node].name.clone(),
-                    })
-                }
+        let mut internal = Vec::new();
+        let mut capacitance = Vec::new();
+        let mut row_of = vec![None; net.nodes.len()];
+        for (node, data) in net.nodes.iter().enumerate() {
+            let NodeKind::Internal {
+                capacitance_j_per_k: c,
+            } = data.kind
+            else {
+                continue;
+            };
+            if c > 0.0 {
+                row_of[node] = Some(internal.len());
+                internal.push(node);
+                capacitance.push(c);
+            } else {
+                return Err(ThermalError::NonPositiveParameter {
+                    parameter: "capacitance",
+                });
             }
         }
-        let index_of: std::collections::HashMap<usize, usize> = internal
-            .iter()
-            .enumerate()
-            .map(|(row, &node)| (node, row))
-            .collect();
         let scratch = Rk4Scratch::new(internal.len());
         Ok(Self {
             internal,
             capacitance,
-            index_of,
+            row_of,
             scratch,
         })
     }
@@ -349,7 +341,7 @@ impl TransientSession {
         let TransientEnv {
             internal,
             capacitance,
-            index_of,
+            row_of,
             scratch,
         } = &mut self.env;
         let boundary_temp = &self.boundary_temp;
@@ -359,17 +351,14 @@ impl TransientSession {
             }
             for r in &net.resistors {
                 let g = 1.0 / r.resistance.kelvin_per_watt();
-                let ta = index_of
-                    .get(&r.a.0)
-                    .map_or(boundary_temp[r.a.0], |&row| y[row]);
-                let tb = index_of
-                    .get(&r.b.0)
-                    .map_or(boundary_temp[r.b.0], |&row| y[row]);
+                let (row_a, row_b) = (row_of[r.a.0], row_of[r.b.0]);
+                let ta = row_a.map_or(boundary_temp[r.a.0], |row| y[row]);
+                let tb = row_b.map_or(boundary_temp[r.b.0], |row| y[row]);
                 let q = g * (ta - tb);
-                if let Some(&row) = index_of.get(&r.a.0) {
+                if let Some(row) = row_a {
                     dy[row] -= q;
                 }
-                if let Some(&row) = index_of.get(&r.b.0) {
+                if let Some(row) = row_b {
                     dy[row] += q;
                 }
             }
@@ -558,28 +547,34 @@ mod tests {
             .unwrap();
         net.add_heat(a, Power::from_watts(30.0)).unwrap();
 
-        let steady = net.solve_steady().unwrap();
+        // closed form of the chain: T_b = T_amb + P r₂, T_a = T_b + P r₁
+        let t_b = 25.0 + 30.0 * 0.6;
+        let t_a = t_b + 30.0 * 0.4;
         let trace = net
             .solve_transient(Celsius::new(25.0), Seconds::new(400.0), Seconds::new(0.1))
             .unwrap();
-        for node in [a, b] {
-            let t_inf = steady.temperature(node).degrees();
+        for (node, t_inf) in [(a, t_a), (b, t_b)] {
             let t_end = trace.final_temperature(node).degrees();
             assert!((t_end - t_inf).abs() < 1e-3, "{t_end} vs {t_inf}");
         }
     }
 
     #[test]
-    fn missing_capacitance_is_reported() {
+    fn non_positive_capacitance_is_rejected() {
         let mut net = ThermalNetwork::new();
-        let a = net.add_node("no-cap");
+        let a = net.add_node_with_capacitance("no-cap", 0.0);
         let amb = net.add_boundary("amb", Celsius::new(0.0));
         net.connect(a, amb, ThermalResistance::from_kelvin_per_watt(1.0))
             .unwrap();
         let err = net
             .solve_transient(Celsius::new(0.0), Seconds::new(1.0), Seconds::new(0.1))
             .unwrap_err();
-        assert!(matches!(err, ThermalError::MissingCapacitance { node } if node == "no-cap"));
+        assert_eq!(
+            err,
+            ThermalError::NonPositiveParameter {
+                parameter: "capacitance"
+            }
+        );
     }
 
     #[test]
@@ -594,13 +589,13 @@ mod tests {
         let first = net
             .solve_transient(Celsius::new(20.0), Seconds::new(30.0), Seconds::new(0.05))
             .unwrap();
-        let handoff: Vec<Celsius> = (0..net.node_count())
+        let handoff: Vec<Celsius> = (0..net.nodes.len())
             .map(|i| first.temperature(first.len() - 1, crate::NodeId(i)))
             .collect();
         let second = net
             .solve_transient_from(&handoff, Seconds::new(400.0), Seconds::new(0.05))
             .unwrap();
-        let steady = net.solve_steady().unwrap().temperature(j).degrees();
+        let steady = 20.0 + 10.0 * 1.0; // T_amb + P R
         assert!((second.final_temperature(j).degrees() - steady).abs() < 1e-3);
         // continuity at the seam
         assert!(
@@ -667,7 +662,7 @@ mod tests {
             .unwrap();
         net.add_heat(a, Power::from_watts(30.0)).unwrap();
 
-        let initial: Vec<Celsius> = vec![Celsius::new(25.0); net.node_count()];
+        let initial: Vec<Celsius> = vec![Celsius::new(25.0); net.nodes.len()];
         let straight = net
             .solve_transient_from(&initial, Seconds::new(40.0), Seconds::new(0.1))
             .unwrap();
@@ -691,7 +686,7 @@ mod tests {
                     straight.times[i].seconds().to_bits(),
                     "time {i}, split {k}"
                 );
-                for node in 0..net.node_count() {
+                for node in 0..net.nodes.len() {
                     assert_eq!(
                         resumed.temperatures[i][node].degrees().to_bits(),
                         straight.temperatures[i][node].degrees().to_bits(),
@@ -710,7 +705,7 @@ mod tests {
         net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(0.5))
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
-        let initial = vec![Celsius::new(0.0); net.node_count()];
+        let initial = vec![Celsius::new(0.0); net.nodes.len()];
         let obs = Registry::new();
         let session =
             TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1), &obs)

@@ -18,7 +18,7 @@
 //! | module | crate | provides |
 //! |---|---|---|
 //! | [`units`] | `rcs-units` | typed physical quantities |
-//! | [`numeric`] | `rcs-numeric` | dense linear algebra, RK4, root finding |
+//! | [`numeric`] | `rcs-numeric` | sparse elimination, RK4 step, RNG, statistics |
 //! | [`parallel`] | `rcs-parallel` | deterministic scoped thread pool for sweeps |
 //! | [`obs`] | `rcs-obs` | deterministic telemetry: counters, histograms, manifests |
 //! | [`fluids`] | `rcs-fluids` | coolant properties & convection correlations |

@@ -69,9 +69,9 @@ fn settling_time_of_a_foreign_node_is_none() {
 
     // a node id minted by a *different* network is foreign to this trace
     let mut other = ThermalNetwork::new();
-    let _ = other.add_node("a");
-    let _ = other.add_node("b");
-    let foreign = other.add_node("c");
+    let _ = other.add_node_with_capacitance("a", 1.0);
+    let _ = other.add_node_with_capacitance("b", 1.0);
+    let foreign = other.add_node_with_capacitance("c", 1.0);
     assert_eq!(trace.settling_time(foreign, 0.5), None);
     assert_eq!(trace.last(foreign), None);
 }

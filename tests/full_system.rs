@@ -113,7 +113,7 @@ fn reliability_gain_from_immersion() {
 #[test]
 fn facade_reexports_work() {
     let _ = rcs_sim::units::Celsius::new(25.0);
-    let _ = rcs_sim::numeric::Matrix::identity(2);
+    let _ = rcs_sim::numeric::SparseSymbolic::analyze(2, &[(0, 1)]);
     let _ = rcs_sim::fluids::Coolant::water();
     let _ = rcs_sim::thermal::ThermalNetwork::new();
     let _ = rcs_sim::hydraulics::HydraulicNetwork::new();

@@ -20,8 +20,8 @@
 //!    iterations than the cold sweep (that is the entire point), and
 //!    the saving is visible in the `profile.*` work counters.
 
-use rcs_sim::fluids::Coolant;
-use rcs_sim::hydraulics::{layout, HydraulicSolution};
+use rcs_sim::fluids::{Coolant, FluidState};
+use rcs_sim::hydraulics::{layout, HydraulicNetwork, HydraulicSolution};
 use rcs_sim::obs::Registry;
 use rcs_sim::units::Celsius;
 
@@ -31,6 +31,29 @@ const AGREE_TOL: f64 = 1e-9;
 
 const LOOPS: usize = 6;
 const OPENINGS: [f64; 7] = [1.0, 0.85, 0.7, 0.55, 0.4, 0.6, 0.9];
+
+/// Solves one step per opening through the retry ladder: `configure`
+/// mutates the network for step `i`. Warm, one context chains every
+/// step, so each starts from the previous step's solution; cold, every
+/// step gets a fresh, unseeded context.
+fn solve_steps(
+    net: &mut HydraulicNetwork,
+    warm: bool,
+    obs: &Registry,
+    mut configure: impl FnMut(&mut HydraulicNetwork, usize) -> FluidState,
+) -> Vec<HydraulicSolution> {
+    let mut ctx = net.solver_context();
+    (0..OPENINGS.len())
+        .map(|i| {
+            let fluid = configure(net, i);
+            if !warm {
+                ctx = net.solver_context();
+            }
+            net.solve_with_ladder(&fluid, &mut ctx, obs)
+                .expect("sweep converges at every step")
+        })
+        .collect()
+}
 
 /// Solves the benchmark sweep — a direct-return rack manifold whose
 /// first loop valve is trimmed step by step — warm or cold.
@@ -45,12 +68,10 @@ fn sweep(warm: bool) -> Vec<HydraulicSolution> {
     );
     let water = Coolant::water().state(Celsius::new(20.0));
     let valve = plan.loop_branches[0];
-    plan.network
-        .solve_sweep(OPENINGS.len(), warm, Registry::disabled(), |net, i| {
-            net.set_valve_opening(valve, OPENINGS[i]).unwrap();
-            water
-        })
-        .expect("benchmark sweep converges at every step")
+    solve_steps(&mut plan.network, warm, Registry::disabled(), |net, i| {
+        net.set_valve_opening(valve, OPENINGS[i]).unwrap();
+        water
+    })
 }
 
 #[test]
@@ -140,12 +161,10 @@ fn warm_sweep_work_counters_drop() {
         let mut plan = layout::rack_manifold(LOOPS, layout::ReturnStyle::Reverse);
         let valve_target = plan.loop_branches[0];
         let obs = Registry::new();
-        plan.network
-            .solve_sweep(OPENINGS.len(), warm, &obs, |net, i| {
-                let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
-                water
-            })
-            .expect("sweep converges");
+        solve_steps(&mut plan.network, warm, &obs, |net, i| {
+            let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
+            water
+        });
         obs.snapshot()
     };
     let cold = run(false);
